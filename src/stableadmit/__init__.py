@@ -12,7 +12,8 @@ from .algorithms import (AlgorithmError, ClosureEvent, Matching, ScoreLimits,
 from .builders import (GROUP_POLICIES, OBJECTIVES, SCORELIMIT_MODES,
                        build_classical, build_combined, build_common,
                        build_lower, build_paired, build_paired_via_common,
-                       build_scorelimits, extract_solution, rank_objective)
+                       build_scorelimits, decode_solution, extract_solution,
+                       rank_objective)
 from .generator import ConfigError, GenConfig, generate
 from .instance import (Application, College, Instance, InstanceError,
                        InvariantError, LowerGroup, QuotaSet, SchemaError,
@@ -43,8 +44,8 @@ __all__ = [
     "apply_fixings", "assignment_satisfies", "build_classical",
     "build_combined", "build_common", "build_lower", "build_paired",
     "build_paired_via_common", "build_scorelimits", "check", "da",
-    "empty_matching", "enumerate_feasible", "enumerate_stable",
-    "extract_solution", "fix_iterate", "from_document", "generate",
+    "decode_solution", "empty_matching", "enumerate_feasible",
+    "enumerate_stable", "extract_solution", "fix_iterate", "from_document", "generate",
     "gs_scorelimits", "induced_matching", "instance_digest", "is_nested",
     "lower_quota_heuristic", "must_close", "must_open", "parse_instance",
     "parse_solution", "rank_objective", "serialize_instance",

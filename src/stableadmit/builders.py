@@ -7,6 +7,11 @@ flags f_{j}, open flags o_{j}, and per-application witness or escape
 variables. Constraint rows carry a family tag and the entities they
 bind, so a violated row reads like college_feasible(c1).
 
+build_combined adds the constraint families of tied scores, lower
+quotas and shared upper quotas to one model; the ties modes of
+build_scorelimits, build_lower and build_common are presets over it
+that keep their own refusals and model names.
+
 Big-M constants stay at their defining sizes rather than being
 tightened, keeping every row auditable against the stability
 definition it encodes. All coefficients, bounds and right-hand sides
@@ -16,7 +21,7 @@ are integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .instance import Application, Instance
 from .linmodel import LinearModel, ModelError, assignment_satisfies
@@ -82,10 +87,13 @@ def _add_college_feasible(model: LinearModel, inst: Instance) -> None:
                              _intake_coeffs(inst, j), "<=", c.upper)
 
 
-def _add_pairwise_stable(model: LinearModel, inst: Instance, ties: bool) -> None:
+def _add_pairwise_stable(model: LinearModel, inst: Instance, ties: bool = False,
+                         *, open_relaxed: bool = False) -> None:
     # blocked unless matched at least as well, or the college is filled by
-    # strictly better scores (ties variant: at-least-as-good scores)
-    tag = "stable_ties" if ties else "stable"
+    # strictly better scores (ties variant: at-least-as-good scores); with
+    # open flags in play the row is waived at closed colleges
+    tag = ("lower_stable_open" if open_relaxed
+           else "stable_ties" if ties else "stable")
     for app in inst.applications:
         i, j = app.applicant, app.target
         u = inst.colleges[j].upper
@@ -99,7 +107,11 @@ def _add_pairwise_stable(model: LinearModel, inst: Instance, ties: bool) -> None
             if sh > app.score or (ties and sh >= app.score):
                 name = f"x_{h}_{j}"
                 coeffs[name] = coeffs.get(name, 0) + 1
-        model.add_constraint(tag, _entry_subject(inst, app), coeffs, ">=", u)
+        rhs = u
+        if open_relaxed:
+            coeffs[f"o_{j}"] = -u
+            rhs = 0
+        model.add_constraint(tag, _entry_subject(inst, app), coeffs, ">=", rhs)
 
 
 def _add_limit_vars(model: LinearModel, inst: Instance) -> None:
@@ -108,17 +120,18 @@ def _add_limit_vars(model: LinearModel, inst: Instance) -> None:
         model.add_var(f"t_{j}", 0, top, role="limit", key=j)
 
 
-def _add_limit_link(model: LinearModel, inst: Instance, *,
+def _add_limit_link(model: LinearModel, inst: Instance,
+                    apps: Sequence[Application], *,
                     open_relaxed: bool = False) -> None:
-    """Tie cutoffs to the matching: admitted applicants meet the cutoff,
-    rejected ones fail it or hold a better seat (or the college is closed
-    when open flags are in play)."""
+    """Tie cutoffs to the matching over the given simple applications:
+    admitted applicants meet the cutoff, rejected ones fail it or hold a
+    better seat (or the college is closed when open flags are in play)."""
     top = inst.max_score + 1
-    for app in inst.applications:
+    for app in apps:
         model.add_constraint(
             "score_stable_college", _entry_subject(inst, app),
             {f"t_{app.target}": 1, _xname(app): top}, "<=", top + app.score)
-    for app in inst.applications:
+    for app in apps:
         i, j = app.applicant, app.target
         coeffs = {f"t_{j}": 1}
         for other in inst.by_applicant[i]:
@@ -219,25 +232,6 @@ def _add_group_rows(model: LinearModel, inst: Instance) -> None:
         model.add_constraint("group_lower_feasible", g.id, coeffs, ">=", 0)
 
 
-def _add_lower_stable_open(model: LinearModel, inst: Instance) -> None:
-    # pairwise stability, waived at closed colleges
-    for app in inst.applications:
-        i, j = app.applicant, app.target
-        u = inst.colleges[j].upper
-        coeffs: dict[str, int] = {}
-        for other in inst.by_applicant[i]:
-            if other.rank <= app.rank:
-                name = _xname(other)
-                coeffs[name] = coeffs.get(name, 0) + u
-        for h in inst.applicants_at[j]:
-            if inst.score_of(h, j) > app.score:
-                name = f"x_{h}_{j}"
-                coeffs[name] = coeffs.get(name, 0) + 1
-        coeffs[f"o_{j}"] = -u
-        model.add_constraint("lower_stable_open", _entry_subject(inst, app),
-                             coeffs, ">=", 0)
-
-
 def _add_lower_stable_closed(model: LinearModel, inst: Instance) -> None:
     # a closed college must leave fewer unsatisfied applicants than its
     # lower quota; applicants admitted strictly better do not count
@@ -292,19 +286,19 @@ def build_scorelimits(inst: Instance, mode: str = "strict") -> LinearModel:
     if mode not in SCORELIMIT_MODES:
         _refuse("build_scorelimits", f"unknown mode {mode!r}")
     _require("build_scorelimits", inst, ties=(mode != "strict"))
-    model = LinearModel(name=f"scorelimits_{mode}")
-    _add_assignment(model, inst)
-    _add_limit_vars(model, inst)
-    _add_applicant_feasible(model, inst)
-    _add_college_feasible(model, inst)
-    _add_limit_link(model, inst)
     if mode == "strict":
+        model = LinearModel()
+        _add_assignment(model, inst)
+        _add_limit_vars(model, inst)
+        _add_applicant_feasible(model, inst)
+        _add_college_feasible(model, inst)
+        _add_limit_link(model, inst, inst.applications)
         _add_filled_flags(model, inst)
     else:
-        _add_witness_closure(model, inst)
-        if mode == "ties_min":
-            model.add_objective("min", {f"t_{j}": 1 for j in range(inst.m)},
-                                name="total_limits")
+        model = build_combined(inst, ties=True)
+        if mode == "ties_full":
+            model.objectives.clear()
+    model.name = f"scorelimits_{mode}"
     return model
 
 
@@ -325,16 +319,8 @@ def build_lower(inst: Instance, with_groups: bool = False) -> LinearModel:
     if not with_groups and inst.lower_quota_groups:
         _refuse("build_lower", "instance declares lower-quota groups; "
                                "pass with_groups=True")
-    model = LinearModel(name="lower_groups" if with_groups else "lower")
-    _add_assignment(model, inst)
-    _add_open_vars(model, inst)
-    _add_applicant_feasible(model, inst)
-    _add_lower_feasible(model, inst)
-    if with_groups:
-        _add_group_rows(model, inst)
-    _add_lower_stable_open(model, inst)
-    if not with_groups:
-        _add_lower_stable_closed(model, inst)
+    model = build_combined(inst, lower=True)
+    model.name = "lower_groups" if with_groups else "lower"
     return model
 
 
@@ -454,11 +440,8 @@ def build_common(inst: Instance) -> LinearModel:
     college.
     """
     _require("build_common", inst, sets=True)
-    model = LinearModel(name="common")
-    _add_assignment(model, inst)
-    _add_applicant_feasible(model, inst)
-    pools, containing = _common_pools(inst)
-    _emit_common_rows(model, inst, pools, containing)
+    model = build_combined(inst, common=True)
+    model.name = "common"
     return model
 
 
@@ -479,20 +462,10 @@ def build_paired(inst: Instance) -> LinearModel:
                           key=(app.applicant, app.target))
     _add_applicant_feasible(model, inst)
     _add_college_feasible(model, inst)
+    _add_limit_link(model, inst,
+                    [a for a in inst.applications if not a.is_paired])
     top = inst.max_score + 1
-    simple = [a for a in inst.applications if not a.is_paired]
     pairs = [a for a in inst.applications if a.is_paired]
-    for app in simple:
-        model.add_constraint(
-            "score_stable_college", _entry_subject(inst, app),
-            {f"t_{app.target}": 1, _xname(app): top}, "<=", top + app.score)
-    for app in simple:
-        coeffs = {f"t_{app.target}": 1}
-        for other in inst.by_applicant[app.applicant]:
-            if other.rank <= app.rank:
-                coeffs[_xname(other)] = top
-        model.add_constraint("score_stable_applicant", _entry_subject(inst, app),
-                             coeffs, ">=", app.score + 1)
     for app in pairs:
         j, _k = app.target
         model.add_constraint(
@@ -622,14 +595,14 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
                               cap_singletons=not lower)
         else:
             _add_limit_vars(model, inst)
-            _add_limit_link(model, inst, open_relaxed=lower)
+            _add_limit_link(model, inst, inst.applications, open_relaxed=lower)
             if group_stability == "enforce":
                 _add_witness_closure(model, inst)
     elif lower:
-        _add_lower_stable_open(model, inst)
+        _add_pairwise_stable(model, inst, open_relaxed=True)
     else:
         _add_college_feasible(model, inst)
-        _add_pairwise_stable(model, inst, ties=False)
+        _add_pairwise_stable(model, inst)
     if lower and group_stability == "enforce" and not inst.lower_quota_groups:
         _add_lower_stable_closed(model, inst)
     limit_vars = [v.name for v in model.variables.values()
@@ -655,12 +628,9 @@ def rank_objective(inst: Instance, model: LinearModel) -> dict[str, int]:
     return coeffs
 
 
-def extract_solution(model: LinearModel, assignment: dict[str, int]) -> Solution:
-    """Read a satisfying assignment back into a Solution via variable
-    roles. Raises ModelError naming the first broken row otherwise."""
-    violated = assignment_satisfies(model, assignment)
-    if violated:
-        raise ModelError(f"constraint violated: {violated[0]}")
+def decode_solution(model: LinearModel, values: dict[str, int]) -> Solution:
+    """Read a Solution off whichever model variables values holds, via
+    their roles; the values are not checked against the rows."""
     matching: dict[int, object] = {}
     score_limits: dict[int, int] = {}
     set_limits: dict[str, int] = {}
@@ -668,7 +638,9 @@ def extract_solution(model: LinearModel, assignment: dict[str, int]) -> Solution
     open_groups: dict[str, bool] = {}
     aux: dict[str, int] = {}
     for var in model.variables.values():
-        value = assignment[var.name]
+        if var.name not in values:
+            continue
+        value = values[var.name]
         if var.role == "assign":
             i, target = var.key
             matching.setdefault(i, None)
@@ -687,3 +659,12 @@ def extract_solution(model: LinearModel, assignment: dict[str, int]) -> Solution
     return Solution(matching=matching, score_limits=score_limits,
                     set_limits=set_limits, open_colleges=open_colleges,
                     open_groups=open_groups, aux=aux)
+
+
+def extract_solution(model: LinearModel, assignment: dict[str, int]) -> Solution:
+    """Read a satisfying assignment back into a Solution via variable
+    roles. Raises ModelError naming the first broken row otherwise."""
+    violated = assignment_satisfies(model, assignment)
+    if violated:
+        raise ModelError(f"constraint violated: {violated[0]}")
+    return decode_solution(model, assignment)

@@ -23,7 +23,8 @@ import time
 from .algorithms import AlgorithmError, induced_matching, lower_quota_heuristic
 from .builders import (build_classical, build_combined, build_common,
                        build_lower, build_paired, build_paired_via_common,
-                       build_scorelimits, extract_solution, rank_objective)
+                       build_scorelimits, decode_solution, extract_solution,
+                       rank_objective)
 from .instance import (Instance, InstanceError, instance_digest,
                        parse_instance, serialize_instance)
 from .generator import ConfigError, GenConfig, generate
@@ -94,17 +95,14 @@ def _build_parser() -> _Parser:
                             "features from ties,lower,common")
         p.add_argument("--node-cap", type=int, default=None)
         p.add_argument("--time-cap", type=float, default=None)
+        p.add_argument("--group-policy",
+                       choices=("enforce", "drop-with-lex-objective"),
+                       default=None, help="combined models only")
         if name == "solve":
             p.add_argument("--objective", choices=OBJECTIVES, default=None)
             p.add_argument("--preprocess", action="store_true",
                            help="fix must-open/must-close colleges first")
-            p.add_argument("--group-policy",
-                           choices=("enforce", "drop-with-lex-objective"),
-                           default=None, help="combined models only")
         else:
-            p.add_argument("--group-policy",
-                           choices=("enforce", "drop-with-lex-objective"),
-                           default=None, help="combined models only")
             p.add_argument("--cap", type=int, default=None,
                            help="stop after this many solutions")
 
@@ -249,32 +247,6 @@ def _feasibility_audit(inst: Instance, sol: Solution) -> list[str]:
     return problems
 
 
-def _projection_solution(model: LinearModel, proj: dict[str, int]) -> Solution:
-    matching: dict[int, object] = {}
-    score_limits: dict[int, int] = {}
-    set_limits: dict[str, int] = {}
-    open_colleges: dict[int, bool] = {}
-    open_groups: dict[str, bool] = {}
-    for name, value in proj.items():
-        var = model.variables[name]
-        if var.role == "assign":
-            i, target = var.key
-            matching.setdefault(i, None)
-            if value == 1:
-                matching[i] = target
-        elif var.role == "limit":
-            score_limits[var.key] = value
-        elif var.role == "set_limit":
-            set_limits[var.key] = value
-        elif var.role == "open":
-            open_colleges[var.key] = bool(value)
-        elif var.role == "group_open":
-            open_groups[var.key] = bool(value)
-    return Solution(matching=matching, score_limits=score_limits,
-                    set_limits=set_limits, open_colleges=open_colleges,
-                    open_groups=open_groups)
-
-
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
@@ -410,7 +382,7 @@ def _cmd_enumerate(args, argv: list[str]) -> int:
         "variant": label,
         "count": len(res.projections),
         "truncated": res.truncated,
-        "solutions": [solution_to_document(inst, _projection_solution(model, p))
+        "solutions": [solution_to_document(inst, decode_solution(model, p))
                       for p in res.projections],
         "timing": {"seconds": round(elapsed, 6)},
         "solver": {"nodes": res.nodes},
@@ -503,6 +475,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("cap", "node_cap", "time_cap"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must not be "
+                                 "negative")
         if args.command == "validate":
             return _cmd_validate(args, argv)
         if args.command == "generate":

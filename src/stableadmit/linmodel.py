@@ -58,7 +58,7 @@ class LinearModel:
 
     def add_var(self, name: str, lo: int, hi: int,
                 role: str = "aux", key: object = None) -> str:
-        if not _NAME_RE.match(name) or name == "__zero":
+        if not _NAME_RE.match(name):
             raise ModelError(f"bad variable name {name!r}")
         if name in self.variables:
             raise ModelError(f"duplicate variable {name!r}")
@@ -130,53 +130,3 @@ def assignment_satisfies(model: LinearModel, assignment: dict[str, int]) -> list
         if not ok:
             violated.append(con.name)
     return violated
-
-
-def _lp_terms(coeffs) -> str:
-    if not coeffs:
-        return "0 __zero"
-    parts = []
-    for var, coef in coeffs:
-        if coef == 0:
-            continue
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {abs(coef)} {var}")
-    if not parts:
-        return "0 __zero"
-    head = parts[0]
-    head = head[2:] if head.startswith("+ ") else f"- {head[2:]}"
-    return " ".join([head] + parts[1:])
-
-
-def to_lp_text(model: LinearModel) -> str:
-    """Render in LP file format; only the first objective is emitted."""
-    lines = [f"\\ {model.name}"]
-    if model.objectives:
-        obj = model.objectives[0]
-        lines.append("Maximize" if obj.sense == "max" else "Minimize")
-        lines.append(f" obj: {_lp_terms(obj.coeffs)}")
-        for extra in model.objectives[1:]:
-            lines.append(f"\\ next lexicographic stage ({extra.sense}):"
-                         f" {_lp_terms(extra.coeffs)}")
-    else:
-        lines.append("Minimize")
-        lines.append(f" obj: {_lp_terms(())}")
-    lines.append("Subject To")
-    sense_map = {"<=": "<=", ">=": ">=", "==": "="}
-    for idx, con in enumerate(model.constraints):
-        label = re.sub(r"[^A-Za-z0-9_]+", "_", con.name).strip("_")
-        lines.append(f" r{idx}_{label}: {_lp_terms(con.coeffs)}"
-                     f" {sense_map[con.sense]} {con.rhs}")
-    needs_zero = any("__zero" in line for line in lines)
-    lines.append("Bounds")
-    for var in model.variables.values():
-        lines.append(f" {var.lo} <= {var.name} <= {var.hi}")
-    if needs_zero:
-        lines.append(" __zero = 0")
-    lines.append("General")
-    for var in model.variables.values():
-        lines.append(f" {var.name}")
-    if needs_zero:
-        lines.append(" __zero")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -1,10 +1,17 @@
 """Exact search over bounded integer models.
 
-Depth-first branch and bound with integer bound propagation. Branching is
-most-constrained-first (smallest domain, then declaration order) with values
-tried in ascending order, so node counts and reported solutions are a pure
-function of the model. Every accepted leaf is re-verified against the
-original constraints, independently of the propagation rows.
+One depth-first driver, _search, with integer bound propagation at every
+node. Branching is most-constrained-first (smallest domain, then
+declaration order) with values tried in ascending order, so node counts
+and reported solutions are a pure function of the model. Callers pick
+the mode through callbacks: a leaf callback runs where no candidate
+variable is left unfixed and may end the search, and an optional prune
+callback cuts nodes after propagation. solve passes an incumbent leaf
+(plus an objective-bound prune when the model has an objective);
+enumerate_feasible branches over the projection variables only, and its
+leaf runs the same driver again to find one completion. Every accepted
+leaf is re-verified against the original constraints, independently of
+the propagation rows.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .linmodel import Constraint, LinearModel, ModelError, assignment_satisfies
 
@@ -23,10 +30,6 @@ class SolverError(RuntimeError):
 
 class _Stop(Exception):
     """Node or time cap reached."""
-
-
-class _Done(Exception):
-    """Enumeration cap reached."""
 
 
 @dataclass
@@ -148,6 +151,43 @@ def _objective_bound(obj_terms, sense: str, lo: list[int], hi: list[int]) -> int
     return sum(c * (hi[v] if c > 0 else lo[v]) for v, c in obj_terms)
 
 
+def _search(eng: _Engine, lo: list[int], hi: list[int], seed,
+            leaf: Callable[[list[int], list[int]], bool],
+            prune: Callable[[list[int], list[int]], bool] | None = None,
+            candidates: Sequence[int] | None = None) -> bool:
+    """Depth-first search below one node; True ends the whole search.
+
+    seed: rows to propagate at this node. prune(lo, hi) True cuts the
+    node after propagation. leaf(lo, hi) runs where no candidate
+    variable (default: any variable) is left unfixed, and its return
+    value is passed up.
+    """
+    eng.tick()
+    if not eng.propagate(lo, hi, seed):
+        return False
+    if prune is not None and prune(lo, hi):
+        return False
+    v = eng.pick(lo, hi, candidates)
+    if v is None:
+        return leaf(lo, hi)
+    for value in range(lo[v], hi[v] + 1):
+        lo2, hi2 = lo.copy(), hi.copy()
+        lo2[v] = hi2[v] = value
+        if _search(eng, lo2, hi2, eng.touch[v], leaf, prune, candidates):
+            return True
+    return False
+
+
+def _root(eng: _Engine, leaf, prune=None, candidates=None) -> bool:
+    """Search from the model's own bounds; False when a cap cut it short."""
+    try:
+        _search(eng, eng.root_lo.copy(), eng.root_hi.copy(),
+                range(len(eng.rows)), leaf, prune, candidates)
+    except _Stop:
+        return False
+    return True
+
+
 def solve(model: LinearModel, node_cap: int | None = None,
           time_cap: float | None = None) -> SolveResult:
     """Optimize the model's single objective, or find any feasible point.
@@ -162,50 +202,35 @@ def solve(model: LinearModel, node_cap: int | None = None,
     started = time.monotonic()
     eng = _Engine(model, node_cap, time_cap)
     obj = model.objectives[0] if model.objectives else None
-    obj_terms = (tuple((eng.index[v], c) for v, c in obj.coeffs if c != 0)
-                 if obj else ())
-    state = {"best": None, "best_val": None}
+    best: dict[str, int] | None = None
+    best_val: int | None = None
 
-    def rec(lo, hi, seed) -> bool:
-        eng.tick()
-        if not eng.propagate(lo, hi, seed):
-            return False
-        if obj is not None and state["best_val"] is not None:
-            bound = _objective_bound(obj_terms, obj.sense, lo, hi)
-            if obj.sense == "min" and bound >= state["best_val"]:
-                return False
-            if obj.sense == "max" and bound <= state["best_val"]:
-                return False
-        v = eng.pick(lo, hi)
-        if v is None:
-            assignment = eng.leaf_assignment(lo)
-            if obj is None:
-                state["best"] = assignment
-                return True
-            value = model.evaluate(obj, assignment)
-            better = (state["best_val"] is None
-                      or (obj.sense == "min" and value < state["best_val"])
-                      or (obj.sense == "max" and value > state["best_val"]))
-            if better:
-                state["best"] = assignment
-                state["best_val"] = value
-            return False
-        for value in range(lo[v], hi[v] + 1):
-            lo2, hi2 = lo.copy(), hi.copy()
-            lo2[v] = hi2[v] = value
-            if rec(lo2, hi2, eng.touch[v]) and obj is None:
-                return True
+    def incumbent(lo, hi) -> bool:
+        nonlocal best, best_val
+        assignment = eng.leaf_assignment(lo)
+        if obj is None:
+            best = assignment
+            return True
+        value = model.evaluate(obj, assignment)
+        if (best_val is None or (obj.sense == "min" and value < best_val)
+                or (obj.sense == "max" and value > best_val)):
+            best, best_val = assignment, value
         return False
 
-    complete = True
-    try:
-        rec(eng.root_lo.copy(), eng.root_hi.copy(), range(len(eng.rows)))
-    except _Stop:
-        complete = False
+    prune = None
+    if obj is not None:
+        obj_terms = tuple((eng.index[v], c) for v, c in obj.coeffs if c != 0)
+
+        def prune(lo, hi) -> bool:
+            if best_val is None:
+                return False
+            bound = _objective_bound(obj_terms, obj.sense, lo, hi)
+            return bound >= best_val if obj.sense == "min" else bound <= best_val
+
+    complete = _root(eng, incumbent, prune)
     elapsed = time.monotonic() - started
-    best = state["best"]
     if best is not None:
-        values = [state["best_val"]] if obj else []
+        values = [best_val] if obj else []
         status = ("optimal" if complete and obj else "feasible")
         return SolveResult(status, best, values, eng.nodes, elapsed)
     status = "infeasible" if complete else "limit_reached"
@@ -275,49 +300,24 @@ def enumerate_feasible(model: LinearModel, projection: Sequence[str],
     eng = _Engine(model, node_cap, time_cap)
     proj_idx = [eng.index[n] for n in projection]
     found: list[tuple[int, ...]] = []
-    state = {"truncated": False}
+    capped = False
 
-    def completion_exists(lo, hi) -> bool:
-        def rec2(lo, hi, seed) -> bool:
-            eng.tick()
-            if seed is not None and not eng.propagate(lo, hi, seed):
-                return False
-            v = eng.pick(lo, hi)
-            if v is None:
-                eng.leaf_assignment(lo)
-                return True
-            for value in range(lo[v], hi[v] + 1):
-                lo2, hi2 = lo.copy(), hi.copy()
-                lo2[v] = hi2[v] = value
-                if rec2(lo2, hi2, eng.touch[v]):
-                    return True
+    def verified(lo, hi) -> bool:
+        eng.leaf_assignment(lo)
+        return True
+
+    def keep(lo, hi) -> bool:
+        nonlocal capped
+        if not _search(eng, lo, hi, (), verified):
             return False
-        return rec2(lo.copy(), hi.copy(), None)
+        if cap is not None and len(found) >= cap:
+            capped = True
+            return True
+        found.append(tuple(lo[v] for v in proj_idx))
+        return False
 
-    def rec(lo, hi, seed) -> None:
-        eng.tick()
-        if not eng.propagate(lo, hi, seed):
-            return
-        v = eng.pick(lo, hi, proj_idx)
-        if v is not None:
-            for value in range(lo[v], hi[v] + 1):
-                lo2, hi2 = lo.copy(), hi.copy()
-                lo2[v] = hi2[v] = value
-                rec(lo2, hi2, eng.touch[v])
-            return
-        if completion_exists(lo, hi):
-            if cap is not None and len(found) >= cap:
-                state["truncated"] = True
-                raise _Done
-            found.append(tuple(lo[v] for v in proj_idx))
-
-    try:
-        rec(eng.root_lo.copy(), eng.root_hi.copy(), range(len(eng.rows)))
-    except _Done:
-        pass
-    except _Stop:
-        state["truncated"] = True
+    truncated = not _root(eng, keep, candidates=proj_idx) or capped
     name_order = sorted(range(len(projection)), key=lambda k: projection[k])
     found.sort(key=lambda tup: tuple(tup[k] for k in name_order))
     projections = [dict(zip(projection, tup)) for tup in found]
-    return EnumerateResult(projections, state["truncated"], eng.nodes)
+    return EnumerateResult(projections, truncated, eng.nodes)

@@ -1,8 +1,14 @@
 """Model builders: frozen row counts, feasible sets vs the checker."""
 
+import hashlib
+import itertools
+import json
+from functools import partial
+from pathlib import Path
+
 import pytest
 
-from conftest import load, matchings_of, t_projection, x_projection
+from conftest import FIXTURE_DIR, load, matchings_of, t_projection, x_projection
 from stableadmit import (Instance, LowerGroup, ModelError, build_classical,
                          build_combined, build_common, build_lower,
                          build_paired, build_paired_via_common,
@@ -167,9 +173,8 @@ def test_lower_infeasible_when_stable_set_empty():
     assert solve(build_lower(load("I5"))).status == "infeasible"
 
 
-def test_lower_group_flag_must_match_the_instance():
-    with pytest.raises(ModelError, match="no groups are declared"):
-        build_lower(load("I4"), with_groups=True)
+def grouped_i4b():
+    """I4B with its only college inside a declared lower-quota group."""
     base = load("I4B")
     grouped = Instance(
         max_score=base.max_score,
@@ -179,6 +184,13 @@ def test_lower_group_flag_must_match_the_instance():
         lower_quota_groups=(LowerGroup("g1", (0,), 2),),
     )
     grouped.validate()
+    return grouped
+
+
+def test_lower_group_flag_must_match_the_instance():
+    with pytest.raises(ModelError, match="no groups are declared"):
+        build_lower(load("I4"), with_groups=True)
+    grouped = grouped_i4b()
     with pytest.raises(ModelError, match="with_groups=True"):
         build_lower(grouped)
     model = build_lower(grouped, with_groups=True)
@@ -296,3 +308,62 @@ def test_rank_objectives_bracket_the_stable_set():
         totals.append(total)
     assert best.objective_values[0] == min(totals)
     assert worst.objective_values[0] == max(totals)
+
+
+# Every builder and mode, keyed by a label. The formulation each one emits
+# is pinned in builder_pins.json so that a reordered, retagged or altered
+# row, variable or objective is caught.
+BUILDS = {
+    "classical": build_classical,
+    "classical:ties": partial(build_classical, ties=True),
+    "classical:applicant_optimal":
+        partial(build_classical, objective="applicant_optimal"),
+    "classical:applicant_pessimal":
+        partial(build_classical, objective="applicant_pessimal"),
+    **{f"scorelimits:{mode}": partial(build_scorelimits, mode=mode)
+       for mode in ("strict", "ties_min", "ties_full")},
+    "lower": build_lower,
+    "lower:groups": partial(build_lower, with_groups=True),
+    "common": build_common,
+    "paired": build_paired,
+    "paired_via_common": build_paired_via_common,
+    **{f"combined[{','.join(feats) or 'none'};{policy}]":
+       partial(build_combined, group_stability=policy,
+               **dict.fromkeys(feats, True))
+       for r in range(4)
+       for feats in itertools.combinations(("ties", "lower", "common"), r)
+       for policy in ("enforce", "drop_with_lex_objective")},
+}
+
+PIN_INSTANCES = {
+    **{path.stem: partial(load, path.stem)
+       for path in sorted(FIXTURE_DIR.glob("*.json"))},
+    "I4B+group": grouped_i4b,
+}
+
+PINS = json.loads((Path(__file__).parent / "builder_pins.json")
+                  .read_text(encoding="utf-8"))
+
+
+def model_digest(model):
+    """sha256 over variables, rows and objectives; the model name is left
+    out so that presets may keep their own names."""
+    body = repr((list(model.variables.values()), model.constraints,
+                 model.objectives))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def model_pin(model):
+    return {"tags": model.tag_counts(), "sha256": model_digest(model)}
+
+
+@pytest.mark.parametrize("label", sorted(BUILDS))
+def test_builder_formulations_are_pinned(label):
+    build = BUILDS[label]
+    for name, make in PIN_INSTANCES.items():
+        key = f"{name} {label}"
+        if key not in PINS:
+            with pytest.raises(ModelError):
+                build(make())
+            continue
+        assert model_pin(build(make())) == PINS[key], key

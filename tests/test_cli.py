@@ -169,6 +169,14 @@ def test_solve_preprocess_report(capsys):
      "enforce policy"),
     (("solve", "I2", "--model", "combined", "--mode", "ties,frobnicate"),
      "unknown combined feature"),
+    (("solve", "I2", "--node-cap", "-3"), "--node-cap must not be negative"),
+    (("solve", "I2", "--time-cap", "-0.5"), "--time-cap must not be negative"),
+    (("enumerate", "I2", "--cap", "-1"), "--cap must not be negative"),
+    (("enumerate", "I2", "--node-cap", "-3"),
+     "--node-cap must not be negative"),
+    (("enumerate", "I2", "--time-cap", "-1"),
+     "--time-cap must not be negative"),
+    (("compare", "I2", "--node-cap", "-1"), "--node-cap must not be negative"),
 ])
 def test_usage_errors_exit_1(capsys, argv, needle):
     argv = [a if a != "I2" and a != "I3" and a != "I4B"

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stableadmit import LinearModel, ModelError, assignment_satisfies
-from stableadmit.linmodel import to_lp_text
 
 
 def small_model() -> LinearModel:
@@ -95,13 +94,3 @@ def test_assignment_satisfies_matches_direct_arithmetic(data):
         if not ok:
             expected.add(f"r{r}")
     assert reported == expected
-
-
-def test_lp_text_render():
-    model = small_model()
-    model.add_objective("min", {"t": 1}, name="total_limits")
-    text = to_lp_text(model)
-    assert "Minimize" in text
-    assert "r0_cap_c1: x <= 1" in text.replace("1 x", "x")
-    assert "0 <= x <= 1" in text
-    assert text.endswith("End\n")
