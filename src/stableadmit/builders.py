@@ -9,8 +9,9 @@ bind, so a violated row reads like college_feasible(c1).
 
 build_combined adds the constraint families of tied scores, lower
 quotas and shared upper quotas to one model; the ties modes of
-build_scorelimits, build_lower and build_common are presets over it
-that keep their own refusals and model names.
+build_scorelimits, build_lower and build_common are presets over it,
+as the strict mode is over build_paired; presets keep their own
+refusals and model names.
 
 Big-M constants stay at their defining sizes rather than being
 tightened, keeping every row auditable against the stability
@@ -78,7 +79,7 @@ def _add_applicant_feasible(model: LinearModel, inst: Instance) -> None:
 
 def _intake_coeffs(inst: Instance, j: int) -> dict[str, int]:
     """Seats taken at college j; a paired admission takes one of them."""
-    return {_xname(app): 1 for app in inst.applications if j in app.colleges()}
+    return {_xname(app): 1 for app in inst.seats_at[j]}
 
 
 def _add_college_feasible(model: LinearModel, inst: Instance) -> None:
@@ -267,8 +268,7 @@ def build_classical(inst: Instance, ties: bool = False,
     _add_college_feasible(model, inst)
     _add_pairwise_stable(model, inst, ties=ties)
     if objective != "none":
-        sense = "min" if objective == "applicant_optimal" else "max"
-        model.add_objective(sense, rank_objective(inst, model), name="total_rank")
+        add_named_objective(inst, model, objective)
     return model
 
 
@@ -287,13 +287,7 @@ def build_scorelimits(inst: Instance, mode: str = "strict") -> LinearModel:
         _refuse("build_scorelimits", f"unknown mode {mode!r}")
     _require("build_scorelimits", inst, ties=(mode != "strict"))
     if mode == "strict":
-        model = LinearModel()
-        _add_assignment(model, inst)
-        _add_limit_vars(model, inst)
-        _add_applicant_feasible(model, inst)
-        _add_college_feasible(model, inst)
-        _add_limit_link(model, inst, inst.applications)
-        _add_filled_flags(model, inst)
+        model = build_paired(inst)
     else:
         model = build_combined(inst, ties=True)
         if mode == "ties_full":
@@ -302,25 +296,20 @@ def build_scorelimits(inst: Instance, mode: str = "strict") -> LinearModel:
     return model
 
 
-def build_lower(inst: Instance, with_groups: bool = False) -> LinearModel:
+def build_lower(inst: Instance) -> LinearModel:
     """Stable matchings where colleges may close instead of running
     under their lower quota.
 
     Plain form: closed colleges must not leave a blocking group of
-    unsatisfied applicants the size of their lower quota. Group form
-    (with_groups=True): colleges in a declared group open and close
-    together against a joint lower quota, and the per-college blocking
-    group row is dropped since it would pin every quota-free member
-    open.
+    unsatisfied applicants the size of their lower quota. Group form,
+    used when the instance declares lower-quota groups: colleges in a
+    group open and close together against a joint lower quota, and the
+    per-college blocking group row is dropped since it would pin every
+    quota-free member open.
     """
     _require("build_lower", inst, lower=True)
-    if with_groups and not inst.lower_quota_groups:
-        _refuse("build_lower", "with_groups=True but no groups are declared")
-    if not with_groups and inst.lower_quota_groups:
-        _refuse("build_lower", "instance declares lower-quota groups; "
-                               "pass with_groups=True")
     model = build_combined(inst, lower=True)
-    model.name = "lower_groups" if with_groups else "lower"
+    model.name = "lower_groups" if inst.lower_quota_groups else "lower"
     return model
 
 
@@ -343,14 +332,15 @@ class _SeatPool:
 def _emit_common_rows(model: LinearModel, inst: Instance,
                       pools: list[_SeatPool],
                       containing: Callable[[Application], list[tuple[int, int]]],
-                      *, open_relaxed: bool = False, with_flags: bool = True,
-                      cap_singletons: bool = True) -> None:
+                      *, open_relaxed: bool = False,
+                      with_flags: bool = True) -> None:
     """Shared-pool cutoff machinery.
 
     containing maps an application to the (pool index, score) pairs of
     every pool that could reject it. A rejected application must fail
     the cutoff of at least one such pool; per-pool escape variables let
-    it ignore the others.
+    it ignore the others. With open flags in play the colleges' own
+    pools carry no quota row; the lower-quota rows cap them instead.
     """
     top = inst.max_score + 1
     for pool in pools:
@@ -366,7 +356,7 @@ def _emit_common_rows(model: LinearModel, inst: Instance,
     for (i, si), name in sorted(used.items()):
         model.add_var(name, 0, 1, role="escape", key=(i, pools[si].label))
     for pool in pools:
-        if pool.cap_tag == "college_feasible" and not cap_singletons:
+        if pool.cap_tag == "college_feasible" and open_relaxed:
             continue
         model.add_constraint(pool.cap_tag, pool.label,
                              {x: 1 for x in pool.intake}, "<=", pool.upper)
@@ -406,14 +396,19 @@ def _emit_common_rows(model: LinearModel, inst: Instance,
                                  {pool.limit: 1, pool.filled: -top}, "<=", 0)
 
 
-def _common_pools(inst: Instance) -> tuple[
-        list[_SeatPool], Callable[[Application], list[tuple[int, int]]]]:
-    pools = [
+def _college_pools(inst: Instance) -> list[_SeatPool]:
+    """Each college's own pool over its simple applications."""
+    return [
         _SeatPool("college_feasible", c.id, f"c{j}", f"t_{j}", f"f_{j}",
-                 "limit", "filled", j, c.upper,
-                 tuple(_xname(a) for a in inst.applications if a.target == j))
+                  "limit", "filled", j, c.upper,
+                  tuple(_xname(a) for a in inst.seats_at[j] if not a.is_paired))
         for j, c in enumerate(inst.colleges)
     ]
+
+
+def _common_pools(inst: Instance) -> tuple[
+        list[_SeatPool], Callable[[Application], list[tuple[int, int]]]]:
+    pools = _college_pools(inst)
     for si, qs in enumerate(inst.common_quota_sets):
         members = set(qs.members)
         pools.append(_SeatPool(
@@ -500,13 +495,7 @@ def _paired_reduction_pools(inst: Instance) -> tuple[
         list[_SeatPool], Callable[[Application], list[tuple[int, int]]]]:
     touched = sorted({j for a in inst.applications if a.is_paired
                       for j in a.colleges()})
-    pools = [
-        _SeatPool("college_feasible", c.id, f"c{j}", f"t_{j}", f"f_{j}",
-                 "limit", "filled", j, c.upper,
-                 tuple(_xname(a) for a in inst.applications
-                       if not a.is_paired and a.target == j))
-        for j, c in enumerate(inst.colleges)
-    ]
+    pools = _college_pools(inst)
     union_index: dict[int, int] = {}
     for j in touched:
         label = f"all({inst.colleges[j].id})"
@@ -514,7 +503,7 @@ def _paired_reduction_pools(inst: Instance) -> tuple[
         pools.append(_SeatPool(
             "common_feasible", label, f"u{j}", f"tuni_{j}", f"funi_{j}",
             "set_limit", "set_filled", label, inst.colleges[j].upper,
-            tuple(_xname(a) for a in inst.applications if j in a.colleges())))
+            tuple(_xname(a) for a in inst.seats_at[j])))
 
     def containing(app: Application) -> list[tuple[int, int]]:
         if app.is_paired:
@@ -591,8 +580,7 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
         if common:
             pools, containing = _common_pools(inst)
             _emit_common_rows(model, inst, pools, containing,
-                              open_relaxed=lower, with_flags=not ties,
-                              cap_singletons=not lower)
+                              open_relaxed=lower, with_flags=not ties)
         else:
             _add_limit_vars(model, inst)
             _add_limit_link(model, inst, inst.applications, open_relaxed=lower)
@@ -605,17 +593,30 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
         _add_pairwise_stable(model, inst)
     if lower and group_stability == "enforce" and not inst.lower_quota_groups:
         _add_lower_stable_closed(model, inst)
-    limit_vars = [v.name for v in model.variables.values()
-                  if v.role in ("limit", "set_limit")]
     if group_stability == "drop_with_lex_objective":
+        add_named_objective(inst, model, "lex_matched_then_limits")
+    elif ties:
+        add_named_objective(inst, model, "min_score_limits")
+    return model
+
+
+def add_named_objective(inst: Instance, model: LinearModel, name: str) -> None:
+    """Append a named objective: applicant_optimal / applicant_pessimal
+    minimise / maximise the total rank of admissions, min_score_limits
+    minimises the cutoff total, and lex_matched_then_limits maximises
+    the number admitted before minimising the cutoff total."""
+    if name in ("applicant_optimal", "applicant_pessimal"):
+        sense = "min" if name == "applicant_optimal" else "max"
+        model.add_objective(sense, rank_objective(inst, model), name="total_rank")
+        return
+    if name not in ("min_score_limits", "lex_matched_then_limits"):
+        _refuse("add_named_objective", f"unknown objective {name!r}")
+    if name == "lex_matched_then_limits":
         model.add_objective("max", {v.name: 1 for v in model.vars_by_role("assign")},
                             name="matched")
-        model.add_objective("min", {name: 1 for name in limit_vars},
-                            name="total_limits")
-    elif ties:
-        model.add_objective("min", {name: 1 for name in limit_vars},
-                            name="total_limits")
-    return model
+    model.add_objective("min", {v.name: 1 for v in model.variables.values()
+                                if v.role in ("limit", "set_limit")},
+                        name="total_limits")
 
 
 def rank_objective(inst: Instance, model: LinearModel) -> dict[str, int]:

@@ -4,7 +4,8 @@ Subcommands: validate, generate, solve, check, compare, enumerate.
 Reports are JSON documents with a fixed key order printed on standard
 output; diagnostics go to standard error. Exit codes: 0 for a stable or
 feasible outcome (check always exits 0 once it produces a verdict),
-1 for usage or validation errors, 2 for proven infeasibility, and 3
+1 for usage or validation errors or a search cap hit before any
+outcome was found, 2 for proven infeasibility, and 3
 when the solver and the stability oracle disagree about a result.
 
 Every successful solve is re-audited through the stability oracle; the
@@ -21,10 +22,10 @@ import sys
 import time
 
 from .algorithms import AlgorithmError, induced_matching, lower_quota_heuristic
-from .builders import (build_classical, build_combined, build_common,
-                       build_lower, build_paired, build_paired_via_common,
-                       build_scorelimits, decode_solution, extract_solution,
-                       rank_objective)
+from .builders import (add_named_objective, build_classical, build_combined,
+                       build_common, build_lower, build_paired,
+                       build_paired_via_common, build_scorelimits,
+                       decode_solution, extract_solution)
 from .instance import (Instance, InstanceError, instance_digest,
                        parse_instance, serialize_instance)
 from .generator import ConfigError, GenConfig, generate
@@ -163,9 +164,8 @@ def _build(inst: Instance, model_name: str, mode: str | None,
     if model_name == "lower":
         if mode:
             raise UsageError("model lower takes no --mode")
-        grouped = bool(inst.lower_quota_groups)
-        return (build_lower(inst, with_groups=grouped),
-                "lower+groups" if grouped else "lower", "lower")
+        return (build_lower(inst),
+                "lower+groups" if inst.lower_quota_groups else "lower", "lower")
     if model_name == "common":
         if mode:
             raise UsageError("model common takes no --mode")
@@ -200,24 +200,14 @@ def _apply_objective(inst: Instance, model: LinearModel, model_name: str,
                          "--objective is not accepted")
     if model_name == "scorelimits" and mode == "ties_min":
         raise UsageError("scorelimits ties-min carries its own objective")
-    if objective in ("applicant-optimal", "applicant-pessimal"):
-        if model_name != "classical":
-            raise UsageError(f"{objective} applies to --model classical only")
-        sense = "min" if objective == "applicant-optimal" else "max"
-        model.add_objective(sense, rank_objective(inst, model), name="total_rank")
-        return
-    limit_vars = [v.name for v in model.variables.values()
-                  if v.role in ("limit", "set_limit")]
-    if objective == "min-score-limits":
-        if not limit_vars:
-            raise UsageError("min-score-limits needs a score-limit model")
-        model.add_objective("min", {n: 1 for n in limit_vars}, name="total_limits")
-        return
-    if model_name == "classical":
+    if objective.startswith("applicant-") and model_name != "classical":
+        raise UsageError(f"{objective} applies to --model classical only")
+    if objective == "min-score-limits" and not any(
+            v.role in ("limit", "set_limit") for v in model.variables.values()):
+        raise UsageError("min-score-limits needs a score-limit model")
+    if objective == "lex-matched-then-limits" and model_name == "classical":
         raise UsageError("lex-matched-then-limits does not apply to classical")
-    model.add_objective("max", {v.name: 1 for v in model.vars_by_role("assign")},
-                        name="matched")
-    model.add_objective("min", {n: 1 for n in limit_vars}, name="total_limits")
+    add_named_objective(inst, model, objective.replace("-", "_"))
 
 
 def _feasibility_audit(inst: Instance, sol: Solution) -> list[str]:
@@ -251,6 +241,14 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _outcome(inst: Instance, sol: Solution | None,
+             sections: tuple[str, ...]) -> dict:
+    """The named sections of the solution's document, {} where it has
+    none; all None without a solution."""
+    doc = solution_to_document(inst, sol) if sol else {}
+    return {key: doc.get(key, {}) if sol else None for key in sections}
+
+
 def _solve_report(argv: list[str], inst: Instance, label: str,
                   status: str, sol: Solution | None,
                   objective_values: list[int], verdict: str | None,
@@ -261,15 +259,8 @@ def _solve_report(argv: list[str], inst: Instance, label: str,
         "instance_digest": instance_digest(inst),
         "variant": label,
         "status": status,
-        "matching": sol.matching_by_ids(inst) if sol else None,
-        "score_limits": ({inst.colleges[j].id: v
-                          for j, v in sorted(sol.score_limits.items())}
-                         if sol else None),
-        "set_limits": dict(sorted(sol.set_limits.items())) if sol else None,
-        "open": ({inst.colleges[j].id: v
-                  for j, v in sorted(sol.open_colleges.items())}
-                 if sol else None),
-        "open_groups": dict(sorted(sol.open_groups.items())) if sol else None,
+        **_outcome(inst, sol, ("matching", "score_limits", "set_limits",
+                               "open", "open_groups")),
         "objective_values": objective_values,
         "verdict": verdict,
         "violations": [v.to_report() for v in violations],
@@ -428,29 +419,22 @@ def _cmd_compare(args, argv: list[str]) -> int:
                         open_colleges={j: j not in closed
                                        for j in range(inst.m)})
     heur_report = check(inst, heur_sol, "lower")
-    model = build_lower(inst, with_groups=bool(inst.lower_quota_groups))
+    model = build_lower(inst)
     started = time.monotonic()
     res = solve(model, node_cap=args.node_cap, time_cap=args.time_cap)
     elapsed = time.monotonic() - started
-    ip: dict[str, object] = {"status": res.status}
-    exit_code = 0
+    sol, verdict, exit_code = None, None, 0
     if res.status == "infeasible":
-        ip.update({"matching": None, "open": None, "verdict": None})
         exit_code = 2
     elif res.status == "limit_reached":
-        ip.update({"matching": None, "open": None, "verdict": None})
         exit_code = 1
     else:
         sol = extract_solution(model, res.assignment)
-        report = check(inst, sol, "lower")
-        ip.update({
-            "matching": sol.matching_by_ids(inst),
-            "open": {inst.colleges[j].id: v
-                     for j, v in sorted(sol.open_colleges.items())},
-            "verdict": report.verdict,
-        })
-        if report.verdict != "stable":
+        verdict = check(inst, sol, "lower").verdict
+        if verdict != "stable":
             exit_code = 3
+    ip = {"status": res.status, **_outcome(inst, sol, ("matching", "open")),
+          "verdict": verdict}
     _emit({
         "command": "stableadmit " + " ".join(argv),
         "instance_digest": instance_digest(inst),

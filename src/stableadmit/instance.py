@@ -116,13 +116,20 @@ class Instance:
         return table
 
     @cached_property
-    def applicants_at(self) -> tuple[tuple[int, ...], ...]:
-        """College index -> applicant indices with any application there."""
-        seen: list[dict[int, None]] = [dict() for _ in self.colleges]
+    def seats_at(self) -> tuple[tuple[Application, ...], ...]:
+        """College index -> the applications taking a seat there, simple
+        and paired, in application order."""
+        lists: list[list[Application]] = [[] for _ in self.colleges]
         for app in self.applications:
             for j in app.colleges():
-                seen[j].setdefault(app.applicant, None)
-        return tuple(tuple(d.keys()) for d in seen)
+                lists[j].append(app)
+        return tuple(tuple(lst) for lst in lists)
+
+    @cached_property
+    def applicants_at(self) -> tuple[tuple[int, ...], ...]:
+        """College index -> applicant indices with any application there."""
+        return tuple(tuple(dict.fromkeys(app.applicant for app in apps))
+                     for apps in self.seats_at)
 
     def score_of(self, applicant: int, college: int) -> int:
         return self.score_table[(applicant, college)]

@@ -6,12 +6,16 @@ declaration order) with values tried in ascending order, so node counts
 and reported solutions are a pure function of the model. Callers pick
 the mode through callbacks: a leaf callback runs where no candidate
 variable is left unfixed and may end the search, and an optional prune
-callback cuts nodes after propagation. solve passes an incumbent leaf
-(plus an objective-bound prune when the model has an objective);
-enumerate_feasible branches over the projection variables only, and its
-leaf runs the same driver again to find one completion. Every accepted
-leaf is re-verified against the original constraints, independently of
-the propagation rows.
+callback cuts nodes after propagation. solve handles zero or more
+objectives on one engine: without one its leaf ends the search at the
+first feasible point; otherwise each objective in turn is minimised
+(a max objective through its negation) by an incumbent leaf and a
+bound prune, and its optimum is frozen as two rows before the next
+stage, so the node and time caps span all stages. enumerate_feasible
+branches over the projection variables only, and its leaf runs the
+same driver again to find one completion. Every accepted leaf is
+re-verified against the original constraints, independently of the
+propagation rows.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .linmodel import Constraint, LinearModel, ModelError, assignment_satisfies
+from .linmodel import LinearModel, ModelError, assignment_satisfies
 
 
 class SolverError(RuntimeError):
@@ -57,22 +61,23 @@ class _Engine:
         self.index = index
         self.root_lo = [model.variables[n].lo for n in self.names]
         self.root_hi = [model.variables[n].hi for n in self.names]
-        rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
+        self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
+        self.touch: list[list[int]] = [[] for _ in self.names]
         for con in model.constraints:
             terms = tuple((index[v], c) for v, c in con.coeffs if c != 0)
             if con.sense in ("<=", "=="):
-                rows.append((terms, con.rhs))
+                self.add_row(terms, con.rhs)
             if con.sense in (">=", "=="):
-                rows.append((tuple((v, -c) for v, c in terms), -con.rhs))
-        self.rows = rows
-        touch: list[list[int]] = [[] for _ in self.names]
-        for r, (terms, _) in enumerate(rows):
-            for v, _ in terms:
-                touch[v].append(r)
-        self.touch = touch
+                self.add_row(tuple((v, -c) for v, c in terms), -con.rhs)
         self.node_cap = node_cap
         self.deadline = None if time_cap is None else time.monotonic() + time_cap
         self.nodes = 0
+
+    def add_row(self, terms: tuple[tuple[int, int], ...], rhs: int) -> None:
+        """Append the row sum(c * var[v] for v, c in terms) <= rhs."""
+        for v, _ in terms:
+            self.touch[v].append(len(self.rows))
+        self.rows.append((terms, rhs))
 
     def tick(self) -> None:
         self.nodes += 1
@@ -145,12 +150,6 @@ class _Engine:
         return assignment
 
 
-def _objective_bound(obj_terms, sense: str, lo: list[int], hi: list[int]) -> int:
-    if sense == "min":
-        return sum(c * (lo[v] if c > 0 else hi[v]) for v, c in obj_terms)
-    return sum(c * (hi[v] if c > 0 else lo[v]) for v, c in obj_terms)
-
-
 def _search(eng: _Engine, lo: list[int], hi: list[int], seed,
             leaf: Callable[[list[int], list[int]], bool],
             prune: Callable[[list[int], list[int]], bool] | None = None,
@@ -188,95 +187,77 @@ def _root(eng: _Engine, leaf, prune=None, candidates=None) -> bool:
     return True
 
 
-def solve(model: LinearModel, node_cap: int | None = None,
-          time_cap: float | None = None) -> SolveResult:
-    """Optimize the model's single objective, or find any feasible point.
-
-    Status: optimal when the search completed with an objective; feasible
-    for a completed feasibility-only run or a capped run that still holds an
-    incumbent; infeasible for a completed empty search; limit_reached when
-    capped with nothing in hand.
-    """
-    if len(model.objectives) > 1:
-        raise ModelError("model has several objectives; use solve_lex")
-    started = time.monotonic()
-    eng = _Engine(model, node_cap, time_cap)
-    obj = model.objectives[0] if model.objectives else None
+def _minimize(eng: _Engine, terms: tuple[tuple[int, int], ...]
+              ) -> tuple[bool, dict[str, int] | None, int | None]:
+    """Least value of sum(c * var[v]) over the engine's rows, as
+    (complete, best assignment, its value)."""
     best: dict[str, int] | None = None
     best_val: int | None = None
 
     def incumbent(lo, hi) -> bool:
         nonlocal best, best_val
         assignment = eng.leaf_assignment(lo)
-        if obj is None:
-            best = assignment
-            return True
-        value = model.evaluate(obj, assignment)
-        if (best_val is None or (obj.sense == "min" and value < best_val)
-                or (obj.sense == "max" and value > best_val)):
+        value = sum(c * lo[v] for v, c in terms)
+        if best_val is None or value < best_val:
             best, best_val = assignment, value
         return False
 
-    prune = None
-    if obj is not None:
-        obj_terms = tuple((eng.index[v], c) for v, c in obj.coeffs if c != 0)
-
-        def prune(lo, hi) -> bool:
-            if best_val is None:
-                return False
-            bound = _objective_bound(obj_terms, obj.sense, lo, hi)
-            return bound >= best_val if obj.sense == "min" else bound <= best_val
+    def prune(lo, hi) -> bool:
+        return best_val is not None and sum(
+            c * (lo[v] if c > 0 else hi[v]) for v, c in terms) >= best_val
 
     complete = _root(eng, incumbent, prune)
-    elapsed = time.monotonic() - started
-    if best is not None:
-        values = [best_val] if obj else []
-        status = ("optimal" if complete and obj else "feasible")
-        return SolveResult(status, best, values, eng.nodes, elapsed)
-    status = "infeasible" if complete else "limit_reached"
-    return SolveResult(status, None, [], eng.nodes, elapsed)
+    return complete, best, best_val
+
+
+def solve(model: LinearModel, node_cap: int | None = None,
+          time_cap: float | None = None) -> SolveResult:
+    """Optimize the model's objectives lexicographically, or find any
+    feasible point when it has none; the caps bound all stages together.
+
+    Status: optimal when every stage completed; feasible for a completed
+    run without objectives, or a capped run that holds an incumbent or
+    an earlier stage's optimum; infeasible for a completed empty search;
+    limit_reached when capped with nothing in hand.
+    """
+    started = time.monotonic()
+    eng = _Engine(model, node_cap, time_cap)
+    best: dict[str, int] | None = None
+    values: list[int] = []
+    if not model.objectives:
+
+        def first(lo, hi) -> bool:
+            nonlocal best
+            best = eng.leaf_assignment(lo)
+            return True
+
+        complete = _root(eng, first)
+    for obj in model.objectives:
+        sign = 1 if obj.sense == "min" else -1
+        terms = tuple((eng.index[v], sign * c) for v, c in obj.coeffs if c != 0)
+        complete, assignment, value = _minimize(eng, terms)
+        if assignment is None:
+            break
+        best = assignment
+        values.append(sign * value)
+        if not complete:
+            break
+        eng.add_row(terms, value)
+        eng.add_row(tuple((v, -c) for v, c in terms), -value)
+    if best is None:
+        status = "infeasible" if complete else "limit_reached"
+    else:
+        status = "optimal" if complete and model.objectives else "feasible"
+    return SolveResult(status, best, values, eng.nodes,
+                       time.monotonic() - started)
 
 
 def solve_lex(model: LinearModel, node_cap: int | None = None,
               time_cap: float | None = None) -> SolveResult:
-    """Optimize the model's objectives lexicographically.
-
-    Each optimum is frozen as an equality before the next stage runs; the
-    caps bound the whole run, not each stage.
-    """
+    """solve for a model that must carry at least one objective."""
     if not model.objectives:
         raise ModelError("model has no objectives")
-    started = time.monotonic()
-    values: list[int] = []
-    fixes: list[Constraint] = []
-    total_nodes = 0
-    result = None
-    for stage, obj in enumerate(model.objectives):
-        stage_model = LinearModel(
-            name=f"{model.name}.lex{stage}",
-            variables=dict(model.variables),
-            constraints=list(model.constraints) + fixes,
-            objectives=[obj])
-        remaining_nodes = None if node_cap is None else node_cap - total_nodes
-        remaining_time = (None if time_cap is None
-                          else time_cap - (time.monotonic() - started))
-        if (remaining_nodes is not None and remaining_nodes <= 0) or (
-                remaining_time is not None and remaining_time <= 0):
-            status = "feasible" if result and result.assignment else "limit_reached"
-            return SolveResult(status, result.assignment if result else None,
-                               values, total_nodes, time.monotonic() - started)
-        result = solve(stage_model, remaining_nodes, remaining_time)
-        total_nodes += result.nodes
-        if result.status != "optimal":
-            return SolveResult(result.status, result.assignment,
-                               values + result.objective_values,
-                               total_nodes, time.monotonic() - started)
-        value = result.objective_values[0]
-        values.append(value)
-        fixes.append(Constraint("lex_fix", obj.name or f"stage{stage}",
-                                obj.coeffs, "==", value))
-    return SolveResult("optimal", result.assignment, values,
-                       total_nodes, time.monotonic() - started)
+    return solve(model, node_cap, time_cap)
 
 
 def enumerate_feasible(model: LinearModel, projection: Sequence[str],

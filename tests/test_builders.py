@@ -188,13 +188,10 @@ def grouped_i4b():
 
 
 def test_lower_group_flag_must_match_the_instance():
-    with pytest.raises(ModelError, match="no groups are declared"):
-        build_lower(load("I4"), with_groups=True)
-    grouped = grouped_i4b()
-    with pytest.raises(ModelError, match="with_groups=True"):
-        build_lower(grouped)
-    model = build_lower(grouped, with_groups=True)
-    assert model.vars_by_role("group_open")
+    plain = build_lower(load("I4B"))
+    assert plain.name == "lower" and not plain.vars_by_role("group_open")
+    model = build_lower(grouped_i4b())
+    assert model.name == "lower_groups" and model.vars_by_role("group_open")
 
 
 def test_common_feasible_sets_match_oracle():
@@ -323,7 +320,6 @@ BUILDS = {
     **{f"scorelimits:{mode}": partial(build_scorelimits, mode=mode)
        for mode in ("strict", "ties_min", "ties_full")},
     "lower": build_lower,
-    "lower:groups": partial(build_lower, with_groups=True),
     "common": build_common,
     "paired": build_paired,
     "paired_via_common": build_paired_via_common,

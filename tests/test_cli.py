@@ -7,6 +7,7 @@ import subprocess
 import pytest
 
 from conftest import fixture_path, fixture_text
+from stableadmit import GenConfig, generate, serialize_instance
 from stableadmit.cli import main
 
 SOLVE_KEYS = ["command", "instance_digest", "variant", "status", "matching",
@@ -104,6 +105,23 @@ def test_solve_node_cap_zero_exits_1(capsys):
     assert code == 1
     assert doc["status"] == "limit_reached"
     assert "hit its cap" in err
+
+
+def test_capped_lex_solve_keeps_the_first_stage_optimum(capsys, tmp_path):
+    # stage 1 (matched) is proved at 3 within the cap; stage 2 is cut short
+    market = generate(GenConfig(n=5, m=3, seed=2, list_range=(1, 3),
+                                max_score=7, upper_range=(1, 3),
+                                lower_range=(1, 2)))
+    path = tmp_path / "market.json"
+    path.write_text(serialize_instance(market), encoding="utf-8")
+    code, doc, _ = run(capsys, "solve", str(path), "--model", "combined",
+                       "--mode", "lower", "--group-policy",
+                       "drop-with-lex-objective", "--node-cap", "50")
+    assert code == 0
+    assert doc["status"] == "feasible"
+    assert doc["objective_values"] == [3]
+    assert doc["matching"] is not None
+    assert doc["verdict"] == "unverified"
 
 
 def test_solve_paired_reduction(capsys):

@@ -56,7 +56,7 @@ def test_ties_min_optimum_matches_oracle_value():
 
 def test_lower_fixture_is_infeasible():
     from stableadmit import build_lower
-    res = solve(build_lower(load("I5"), with_groups=False))
+    res = solve(build_lower(load("I5")))
     assert res.status == "infeasible"
 
 
@@ -75,12 +75,14 @@ def test_determinism_of_statistics():
     assert first.status == second.status
 
 
-def test_multiple_objectives_refused_by_solve():
-    inst = load("I4B")
-    model = build_combined(inst, lower=True,
+@pytest.mark.parametrize("name", ["I4", "I4B"])
+def test_solve_and_solve_lex_agree_on_lex_models(name):
+    model = build_combined(load(name), lower=True,
                            group_stability="drop_with_lex_objective")
-    with pytest.raises(ModelError, match="use solve_lex"):
-        solve(model)
+    plain, lex = solve(model), solve_lex(model)
+    assert (plain.status, plain.assignment, plain.objective_values,
+            plain.nodes) == (lex.status, lex.assignment,
+                             lex.objective_values, lex.nodes)
 
 
 def test_solve_lex_matched_then_limits():
