@@ -1,13 +1,21 @@
-"""Combinatorial matching algorithms: deferred acceptance for strict
-instances, the generalized score-limit procedure for instances with ties,
-and the college-closing heuristic for lower quotas."""
+"""Combinatorial matching algorithms over cutoff scores.
+
+Two procedures do the proposing: _rising raises cutoffs from 0 (the
+applicant side) and _falling lowers them from above every score (the
+college side). Each serves both deferred acceptance on strict instances
+(da) and the generalized score-limit algorithm on instances with ties
+(gs_scorelimits), returning the least and the greatest stable cutoff
+vector respectively. The college-closing heuristic for lower quotas
+reruns the rising procedure."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import inf
 
-from .instance import Instance
+from .instance import Application, Instance
 from .solution import Solution, empty_matching
 
 
@@ -73,80 +81,99 @@ def _require_simple_strict(inst: Instance, who: str) -> None:
 
 
 def da(inst: Instance, side: str = "applicant", exclude: frozenset[int] = frozenset()) -> Matching:
-    """Deferred acceptance on a strict instance. Lower quotas are ignored;
-    colleges in exclude are treated as removed."""
+    """Deferred acceptance on a strict instance: the rising (applicant
+    side) or falling (college side) cutoff procedure. Lower quotas are
+    ignored; colleges in exclude are treated as removed."""
     _require_simple_strict(inst, "da")
     if inst.has_ties:
         raise AlgorithmError("da: scores are tied at some college")
-    if side == "applicant":
-        return _da_applicant(inst, exclude)
-    if side == "college":
-        return _da_college(inst, exclude)
-    raise AlgorithmError(f"da: unknown side {side!r}")
+    if side not in _PROCEDURES:
+        raise AlgorithmError(f"da: unknown side {side!r}")
+    assignment, _ = _PROCEDURES[side](inst, exclude)
+    return Matching(assignment=assignment)
 
 
-def _da_applicant(inst: Instance, exclude: frozenset[int]) -> Matching:
+def _rising(inst: Instance, exclude: frozenset[int]) -> tuple[dict[int, int | None], list[int]]:
+    """Applicant-proposing cutoffs: all start at 0, and an over-quota
+    college raises its cutoff past its lowest tie groups until the rest
+    fit; the rejected applicants propose further down their lists."""
+    cutoffs = [0] * inst.m
     pointer = [0] * inst.n
-    held: dict[int, int | None] = {i: None for i in range(inst.n)}
-    admitted: list[dict[int, int]] = [dict() for _ in range(inst.m)]  # college -> {applicant: score}
-    queue = deque(i for i in range(inst.n) if inst.by_applicant[i])
+    held: list[list[tuple[int, int]]] = [[] for _ in range(inst.m)]  # min-heaps of (score, applicant)
+    queue = deque(range(inst.n))
     while queue:
         i = queue.popleft()
         apps = inst.by_applicant[i]
         while pointer[i] < len(apps):
             app = apps[pointer[i]]
-            j = app.target
-            if j in exclude:
-                pointer[i] += 1
-                continue
-            seats = inst.colleges[j].upper
-            if len(admitted[j]) < seats:
-                admitted[j][i] = app.score
-                held[i] = j
-                break
-            worst_i = min(admitted[j], key=admitted[j].get)
-            if app.score > admitted[j][worst_i]:
-                del admitted[j][worst_i]
-                held[worst_i] = None
-                pointer[worst_i] += 1
-                queue.append(worst_i)
-                admitted[j][i] = app.score
-                held[i] = j
+            if app.target not in exclude and app.score >= cutoffs[app.target]:
                 break
             pointer[i] += 1
-    return Matching(assignment=held)
+        else:
+            continue
+        j = app.target
+        heap = held[j]
+        heappush(heap, (app.score, i))
+        while len(heap) > inst.colleges[j].upper:
+            lowest = heap[0][0]
+            cutoffs[j] = lowest + 1
+            while heap and heap[0][0] == lowest:
+                _, k = heappop(heap)
+                pointer[k] += 1
+                queue.append(k)
+    assignment: dict[int, int | None] = {i: None for i in range(inst.n)}
+    for j, heap in enumerate(held):
+        for _, i in heap:
+            assignment[i] = j
+    return assignment, cutoffs
 
 
-def _da_college(inst: Instance, exclude: frozenset[int]) -> Matching:
-    prefs: list[list[int]] = []
-    for j in range(inst.m):
-        order = sorted(inst.applicants_at[j],
-                       key=lambda i: -inst.score_of(i, j))
-        prefs.append(order)
-    rank_at = {(app.applicant, app.target): app.rank for app in inst.applications}
-    pointer = [0] * inst.m
-    tentative: list[set[int]] = [set() for _ in range(inst.m)]
-    held: dict[int, tuple[int, int]] = {}  # applicant -> (rank, college)
-    queue = deque(j for j in range(inst.m)
-                  if j not in exclude and prefs[j])
+def _falling(inst: Instance, exclude: frozenset[int]) -> tuple[dict[int, int | None], list[int]]:
+    """College-proposing cutoffs: all start above every score, and each
+    college lowers its cutoff one tie group at a time while the
+    applicants in that group who prefer it still fit its quota. A
+    college blocked at a group ends with its cutoff one above it."""
+    groups: list[list[list[Application]]] = []  # per college, best score first
+    for apps in inst.seats_at:
+        by_score: dict[int, list[Application]] = {}
+        for app in apps:
+            by_score.setdefault(app.score, []).append(app)
+        groups.append([by_score[s] for s in sorted(by_score, reverse=True)])
+    held: list[Application | None] = [None] * inst.n
+    rank = [inf] * inst.n  # rank of the held application
+    intake = [0] * inst.m
+    passed = [0] * inst.m  # tie groups each college has admitted or passed
+    queue = deque(j for j in range(inst.m) if j not in exclude)
+    queued = [j not in exclude for j in range(inst.m)]
     while queue:
         j = queue.popleft()
-        while len(tentative[j]) < inst.colleges[j].upper and pointer[j] < len(prefs[j]):
-            i = prefs[j][pointer[j]]
-            pointer[j] += 1
-            r = rank_at[(i, j)]
-            if i not in held or r < held[i][0]:
-                if i in held:
-                    old = held[i][1]
-                    tentative[old].discard(i)
-                    if old not in queue:
-                        queue.append(old)
-                held[i] = (r, j)
-                tentative[j].add(i)
-    assignment: dict[int, int | None] = {i: None for i in range(inst.n)}
-    for i, (_, j) in held.items():
-        assignment[i] = j
-    return Matching(assignment=assignment)
+        queued[j] = False
+        while passed[j] < len(groups[j]):
+            takers = [app for app in groups[j][passed[j]] if app.rank < rank[app.applicant]]
+            if intake[j] + len(takers) > inst.colleges[j].upper:
+                break
+            passed[j] += 1
+            intake[j] += len(takers)
+            for app in takers:
+                i = app.applicant
+                if held[i] is not None:
+                    intake[held[i].target] -= 1
+                # i leaves its old seat and stops counting as a taker at
+                # every college it ranks between the new and the old one
+                for other in inst.by_applicant[i]:
+                    k = other.target
+                    if app.rank < other.rank <= rank[i] and k not in exclude and not queued[k]:
+                        queued[k] = True
+                        queue.append(k)
+                held[i], rank[i] = app, app.rank
+    assignment: dict[int, int | None] = {
+        i: None if app is None else app.target for i, app in enumerate(held)}
+    cutoffs = [groups[j][passed[j]][0].score + 1 if passed[j] < len(groups[j]) else 0
+               for j in range(inst.m)]
+    return assignment, cutoffs
+
+
+_PROCEDURES = {"applicant": _rising, "college": _falling}
 
 
 def induced_matching(inst: Instance, limits: list[int]) -> Matching:
@@ -163,65 +190,15 @@ def induced_matching(inst: Instance, limits: list[int]) -> Matching:
 def gs_scorelimits(inst: Instance, side: str = "applicant") -> tuple[Matching, ScoreLimits]:
     """Generalized deferred acceptance over cutoff scores; ties allowed.
 
-    The applicant side starts with all cutoffs at zero and raises the cutoff
-    of an overfull college just past the score of the tie group whose
-    admission breaks the quota. The college side starts with all cutoffs
-    above every score and lowers each college's cutoff as far as its own
-    quota allows, until no cutoff can move.
+    The applicant side runs the rising procedure and returns the least
+    stable cutoff vector, the college side runs the falling procedure and
+    returns the greatest; each matching is the one its cutoffs induce.
     """
     _require_simple_strict(inst, "gs_scorelimits")
-    if side == "applicant":
-        limits = _gs_applicant(inst)
-    elif side == "college":
-        limits = _gs_college(inst)
-    else:
+    if side not in _PROCEDURES:
         raise AlgorithmError(f"gs_scorelimits: unknown side {side!r}")
-    matching = induced_matching(inst, limits)
-    return matching, ScoreLimits(limits={j: limits[j] for j in range(inst.m)})
-
-
-def _gs_applicant(inst: Instance) -> list[int]:
-    limits = [0] * inst.m
-    while True:
-        matching = induced_matching(inst, limits)
-        intake = matching.intake(inst)
-        over = [j for j in range(inst.m) if intake[j] > inst.colleges[j].upper]
-        if not over:
-            return limits
-        j = over[0]
-        scores = sorted((inst.score_of(i, j) for i, t in matching.assignment.items()
-                         if t == j), reverse=True)
-        kept = 0
-        cut = limits[j]
-        for value in sorted(set(scores), reverse=True):
-            group = scores.count(value)
-            if kept + group > inst.colleges[j].upper:
-                cut = value + 1
-                break
-            kept += group
-        limits[j] = cut
-
-
-def _gs_college(inst: Instance) -> list[int]:
-    top = inst.max_score + 1
-    limits = [top] * inst.m
-    changed = True
-    while changed:
-        changed = False
-        for j in range(inst.m):
-            best = limits[j]
-            for candidate in range(limits[j] - 1, -1, -1):
-                trial = limits.copy()
-                trial[j] = candidate
-                intake = induced_matching(inst, trial).intake(inst)
-                if intake[j] <= inst.colleges[j].upper:
-                    best = candidate
-                else:
-                    break
-            if best != limits[j]:
-                limits[j] = best
-                changed = True
-    return limits
+    assignment, limits = _PROCEDURES[side](inst, frozenset())
+    return Matching(assignment=assignment), ScoreLimits(limits=dict(enumerate(limits)))
 
 
 def lower_quota_heuristic(inst: Instance) -> tuple[Matching, set[int], list[ClosureEvent]]:
@@ -237,7 +214,7 @@ def lower_quota_heuristic(inst: Instance) -> tuple[Matching, set[int], list[Clos
     closed: set[int] = set()
     trace: list[ClosureEvent] = []
     while True:
-        matching = _da_applicant(inst, frozenset(closed))
+        matching = Matching(assignment=_rising(inst, frozenset(closed))[0])
         intake = matching.intake(inst)
         violators = [j for j in range(inst.m)
                      if j not in closed and inst.colleges[j].lower > intake[j]]

@@ -300,8 +300,11 @@ def _cmd_generate(args) -> int:
                     pair_prob=args.pair_prob)
     text = serialize_instance(generate(cfg))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0

@@ -146,7 +146,7 @@ class Instance:
                 seen.add(s)
         return False
 
-    @property
+    @cached_property
     def has_pairs(self) -> bool:
         return any(app.is_paired for app in self.applications)
 

@@ -102,9 +102,6 @@ class LinearModel:
             counts[con.tag] = counts.get(con.tag, 0) + 1
         return counts
 
-    def evaluate(self, objective: Objective, assignment: dict[str, int]) -> int:
-        return sum(coef * assignment[var] for var, coef in objective.coeffs)
-
 
 def _activity(coeffs, assignment: dict[str, int]) -> int:
     try:

@@ -200,7 +200,7 @@ def _minimize(eng: _Engine, terms: tuple[tuple[int, int], ...]
         value = sum(c * lo[v] for v, c in terms)
         if best_val is None or value < best_val:
             best, best_val = assignment, value
-        return False
+        return not terms  # a constant objective is optimal at any leaf
 
     def prune(lo, hi) -> bool:
         return best_val is not None and sum(

@@ -1,7 +1,10 @@
 """Deferred acceptance, cutoff procedures, and the closing heuristic."""
 
+import dataclasses
+
 import pytest
 
+import stableadmit.algorithms
 from conftest import load, matchings_of
 from stableadmit import (AlgorithmError, GenConfig, Solution, check, da,
                          enumerate_stable, generate, gs_scorelimits,
@@ -54,6 +57,18 @@ def test_da_exclude_removes_colleges():
     m = da(inst, exclude=frozenset({0}))
     assert m.assignment[0] == 1 or m.assignment[1] == 1
     assert all(t != 0 for t in m.assignment.values() if t is not None)
+
+
+def test_da_exclude_equals_removing_the_applications():
+    for seed in range(150):
+        inst = generate(GenConfig(n=6, m=4, seed=seed, list_range=(1, 4),
+                                  max_score=8))
+        excluded = frozenset(j for j in range(inst.m) if (seed >> j) & 1)
+        removed = dataclasses.replace(inst, applications=tuple(
+            app for app in inst.applications if app.target not in excluded))
+        for side in ("applicant", "college"):
+            assert (da(inst, side, exclude=excluded)
+                    == da(removed, side)), (seed, side)
 
 
 def test_induced_matching_follows_cutoffs():
@@ -110,6 +125,40 @@ def test_gs_scorelimits_sides_bound_the_stable_vectors():
         if len(set(vectors)) > 1:
             checked_multi += 1
     assert checked_multi >= 10  # the sweep must exercise non-unique cases
+
+
+def test_gs_scorelimits_matching_is_induced_by_its_cutoffs():
+    for seed in range(300):
+        inst = generate(GenConfig(n=8, m=3, seed=seed, list_range=(1, 3),
+                                  max_score=9, upper_range=(1, 3),
+                                  tie_density=0.5 if seed % 2 else 0.0))
+        for side in ("applicant", "college"):
+            matching, limits = gs_scorelimits(inst, side)
+            vector = [limits.limits[j] for j in range(inst.m)]
+            assert matching == induced_matching(inst, vector), (seed, side)
+
+
+def test_gs_college_side_requeues_colleges_an_applicant_passes():
+    # when an applicant moves up, every college it ranks between its old
+    # and its new seat loses a taker and must try to lower its cutoff again
+    inst = generate(GenConfig(n=6, m=7, seed=21, list_range=(1, 4),
+                              max_score=14, upper_range=(1, 2)))
+    _, limits = gs_scorelimits(inst, "college")
+    assert limits.limits == {j: 0 for j in range(inst.m)}
+
+
+def test_gs_scorelimits_needs_no_induced_matching_sweeps(monkeypatch):
+    calls = []
+    induced = stableadmit.algorithms.induced_matching
+    monkeypatch.setattr(stableadmit.algorithms, "induced_matching",
+                        lambda *args: calls.append(1) or induced(*args))
+    for tie_density in (0.0, 0.5):
+        inst = generate(GenConfig(n=12, m=3, seed=1, max_score=1000,
+                                  tie_density=tie_density))
+        for side in ("applicant", "college"):
+            calls.clear()
+            gs_scorelimits(inst, side)
+            assert len(calls) <= 1, (tie_density, side)
 
 
 def test_gs_scorelimits_preconditions():

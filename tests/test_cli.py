@@ -1,8 +1,11 @@
 """Command line surface: reports, exit codes, argument gating."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +127,19 @@ def test_capped_lex_solve_keeps_the_first_stage_optimum(capsys, tmp_path):
     assert doc["verdict"] == "unverified"
 
 
+def test_empty_lex_stage_ends_at_its_first_leaf(capsys):
+    # the lower model has no cutoff variables, so stage 2 (total_limits)
+    # is a constant and needs no search beyond one leaf
+    code, doc, _ = run(capsys, "solve", str(fixture_path("I8")),
+                       "--model", "lower", "--objective",
+                       "lex-matched-then-limits")
+    assert code == 0
+    assert doc["status"] == "optimal"
+    assert doc["matching"] == {"a1": "c1", "a2": None, "a3": "c2", "a4": "c2"}
+    assert doc["objective_values"] == [3, 0]
+    assert doc["solver"]["nodes"] == 5
+
+
 def test_solve_paired_reduction(capsys):
     code, doc, _ = run(capsys, "solve", str(fixture_path("PAIR1")),
                        "--model", "paired", "--mode", "via-common")
@@ -195,6 +211,8 @@ def test_solve_preprocess_report(capsys):
     (("enumerate", "I2", "--time-cap", "-1"),
      "--time-cap must not be negative"),
     (("compare", "I2", "--node-cap", "-1"), "--node-cap must not be negative"),
+    (("generate", "--n", "2", "--m", "1", "--seed", "1", "--out",
+      str(fixture_path("I2") / "out.json")), "cannot write"),
 ])
 def test_usage_errors_exit_1(capsys, argv, needle):
     argv = [a if a != "I2" and a != "I3" and a != "I4B"
@@ -282,13 +300,20 @@ def test_compare_reports_empty_stable_set(capsys):
     assert doc["ip"]["matching"] is None
 
 
-@pytest.mark.skipif(shutil.which("stableadmit") is None,
-                    reason="console script not on PATH")
-def test_console_script_round_trip(tmp_path):
+@pytest.mark.parametrize("launcher", [
+    pytest.param([sys.executable, "-m", "stableadmit.cli"], id="module"),
+    pytest.param(["stableadmit"], id="script", marks=pytest.mark.skipif(
+        shutil.which("stableadmit") is None,
+        reason="console script not on PATH")),
+])
+def test_console_script_round_trip(launcher):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        ["stableadmit", "solve", str(fixture_path("I3")),
+        [*launcher, "solve", str(fixture_path("I3")),
          "--model", "scorelimits", "--mode", "ties-min"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["score_limits"] == {"c1": 6}

@@ -45,7 +45,6 @@ def test_objective_rules():
         model.add_objective("down", {"t": 1})
     model.add_objective("min", {"t": 1}, name="total_limits")
     assert model.objectives[0].name == "total_limits"
-    assert model.evaluate(model.objectives[0], {"t": 4, "x": 1}) == 4
 
 
 def test_roles_and_tag_counts():
