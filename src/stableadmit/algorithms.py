@@ -233,12 +233,12 @@ def lower_quota_heuristic(inst: Instance) -> tuple[Matching, set[int], list[Clos
         for j in violators[1:]:
             if _ratio_less(j, choice):
                 choice = j
-        cutoffs = {}
-        for j in range(inst.m):
-            if j in closed or j == choice:
-                continue
-            scores = [inst.score_of(i, j) for i, t in matching.assignment.items() if t == j]
-            cutoffs[j] = min(scores) if scores else 0
+        lowest = [inf] * inst.m
+        for i, j in matching.assignment.items():
+            if j is not None:
+                lowest[j] = min(lowest[j], inst.score_of(i, j))
+        cutoffs = {j: 0 if lowest[j] == inf else lowest[j]
+                   for j in range(inst.m) if j not in closed and j != choice}
         trace.append(ClosureEvent(college=choice, admitted=intake[choice],
                                   lower=inst.colleges[choice].lower, cutoffs=cutoffs))
         closed.add(choice)

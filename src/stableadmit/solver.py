@@ -1,21 +1,29 @@
 """Exact search over bounded integer models.
 
 One depth-first driver, _search, with integer bound propagation at every
-node. Branching is most-constrained-first (smallest domain, then
-declaration order) with values tried in ascending order, so node counts
-and reported solutions are a pure function of the model. Callers pick
-the mode through callbacks: a leaf callback runs where no candidate
-variable is left unfixed and may end the search, and an optional prune
-callback cuts nodes after propagation. solve handles zero or more
-objectives on one engine: without one its leaf ends the search at the
-first feasible point; otherwise each objective in turn is minimised
-(a max objective through its negation) by an incumbent leaf and a
-bound prune, and its optimum is frozen as two rows before the next
+node. Each node carries, beside its bounds lo and hi, the minimum activity
+of every row (act), updated by |c| times the move whenever a bound that
+the row reads moves (incremental bounds consistency after Harvey and
+Schimpf). A row is queued only when its slack falls below its reach, the
+most any of its terms could need, so a visited row reads its slack in
+O(1) and scans its terms once. The fixpoint does not depend on the order
+rows are visited in.
+
+Branching is most-constrained-first (smallest domain, then declaration
+order) with values tried in ascending order, so node counts and reported
+solutions are a pure function of the model. Callers pick the mode
+through callbacks, which see a node's lo, hi and act: a leaf callback
+runs where no candidate variable is left unfixed and may end the search,
+and an optional prune callback cuts nodes after propagation. solve
+handles zero or more objectives on one engine: without one its leaf ends
+the search at the first feasible point; otherwise each objective in turn
+is minimised (a max objective through its negation) by an incumbent leaf
+and a bound prune, and its optimum is frozen as two rows before the next
 stage, so the node and time caps span all stages. enumerate_feasible
-branches over the projection variables only, and its leaf runs the
-same driver again to find one completion. Every accepted leaf is
-re-verified against the original constraints, independently of the
-propagation rows.
+branches over the projection variables only, and its leaf runs the same
+driver again from the leaf's own bounds and activities to find one
+completion. Every accepted leaf is re-verified against the original
+constraints, independently of the propagation rows.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ class SolveResult:
     objective_values: list[int] = field(default_factory=list)
     nodes: int = 0
     elapsed: float = 0.0
+    row_visits: int = 0                   # rows taken off the propagation queue
 
 
 @dataclass
@@ -50,9 +59,14 @@ class EnumerateResult:
     projections: list[dict[str, int]]
     truncated: bool = False
     nodes: int = 0
+    row_visits: int = 0
 
 
 class _Engine:
+    """Rows sum(c * var[v]) <= rhs over the model's variables, with the
+    minimum activity of every row kept per node in a list act beside the
+    node's bounds lo and hi."""
+
     def __init__(self, model: LinearModel,
                  node_cap: int | None, time_cap: float | None):
         self.model = model
@@ -61,23 +75,98 @@ class _Engine:
         self.index = index
         self.root_lo = [model.variables[n].lo for n in self.names]
         self.root_hi = [model.variables[n].hi for n in self.names]
-        self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
-        self.touch: list[list[int]] = [[] for _ in self.names]
+        # Row r reads lo[v] through its terms with c > 0 (pos[r], as (v, c))
+        # and hi[v] through those with c < 0 (neg[r], as (v, -c)); lo_rows[v]
+        # and hi_rows[v] list the rows that read each bound, as (r, |c|).
+        self.pos: list[list[tuple[int, int]]] = []
+        self.neg: list[list[tuple[int, int]]] = []
+        self.rhs: list[int] = []
+        self.reach: list[int] = []
+        self.lo_rows: list[list[tuple[int, int]]] = [[] for _ in self.names]
+        self.hi_rows: list[list[tuple[int, int]]] = [[] for _ in self.names]
+        self.queued: list[bool] = []
+        self.width = [h - l for l, h in zip(self.root_lo, self.root_hi)]
         for con in model.constraints:
-            terms = tuple((index[v], c) for v, c in con.coeffs if c != 0)
-            if con.sense in ("<=", "=="):
-                self.add_row(terms, con.rhs)
-            if con.sense in (">=", "=="):
-                self.add_row(tuple((v, -c) for v, c in terms), -con.rhs)
+            self.add_rows(con.coeffs, con.rhs, con.sense)
         self.node_cap = node_cap
         self.deadline = None if time_cap is None else time.monotonic() + time_cap
         self.nodes = 0
+        self.row_visits = 0
 
-    def add_row(self, terms: tuple[tuple[int, int], ...], rhs: int) -> None:
-        """Append the row sum(c * var[v] for v, c in terms) <= rhs."""
-        for v, _ in terms:
-            self.touch[v].append(len(self.rows))
-        self.rows.append((terms, rhs))
+    def add_rows(self, coeffs: Sequence[tuple[str, int]], rhs: int,
+                 sense: str) -> None:
+        """Append sum(c * var) over coeffs, compared to rhs by sense, as one
+        or two <= rows, each with its reach: the largest |c| times a root
+        domain width over its terms. A row whose slack is at least its
+        reach tightens nothing."""
+        pos, neg, reach = [], [], 0
+        index, width = self.index, self.width
+        for name, c in coeffs:
+            v = index[name]
+            if c > 0:
+                pos.append((v, c))
+            elif c < 0:
+                c = -c
+                neg.append((v, c))
+            if c * width[v] > reach:
+                reach = c * width[v]
+        if sense != ">=":
+            self._add_row(pos, neg, rhs, reach)
+        if sense != "<=":
+            self._add_row(neg, pos, -rhs, reach)
+
+    def _add_row(self, pos: list[tuple[int, int]], neg: list[tuple[int, int]],
+                 rhs: int, reach: int) -> None:
+        r = len(self.rhs)
+        for v, c in pos:
+            self.lo_rows[v].append((r, c))
+        for v, a in neg:
+            self.hi_rows[v].append((r, a))
+        self.pos.append(pos)
+        self.neg.append(neg)
+        self.rhs.append(rhs)
+        self.reach.append(reach)
+        self.queued.append(False)
+
+    def activities(self, lo: list[int], hi: list[int]) -> list[int]:
+        """Every row's minimum activity over the box [lo, hi]."""
+        act = []
+        for pos, neg in zip(self.pos, self.neg):
+            total = 0
+            for v, c in pos:
+                total += c * lo[v]
+            for v, a in neg:
+                total -= a * hi[v]
+            act.append(total)
+        return act
+
+    def root(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The model's own bounds, their activities, and the rows that may
+        tighten them."""
+        lo, hi = self.root_lo.copy(), self.root_hi.copy()
+        act = self.activities(lo, hi)
+        rhs, reach = self.rhs, self.reach
+        return lo, hi, act, [r for r, a in enumerate(act) if rhs[r] - a < reach[r]]
+
+    def fix(self, lo: list[int], hi: list[int], act: list[int],
+            v: int, value: int) -> list[int]:
+        """Fix var[v] to value; return the rows that may tighten after it."""
+        rhs, reach = self.rhs, self.reach
+        seed = []
+        d = value - lo[v]
+        if d:
+            for r, c in self.lo_rows[v]:
+                act[r] += c * d
+                if rhs[r] - act[r] < reach[r]:
+                    seed.append(r)
+        d = hi[v] - value
+        if d:
+            for r, a in self.hi_rows[v]:
+                act[r] += a * d
+                if rhs[r] - act[r] < reach[r]:
+                    seed.append(r)
+        lo[v] = hi[v] = value
+        return seed
 
     def tick(self) -> None:
         self.nodes += 1
@@ -86,46 +175,54 @@ class _Engine:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Stop
 
-    def propagate(self, lo: list[int], hi: list[int], seed) -> bool:
-        """Tighten bounds to a fixpoint; False when a row is unsatisfiable.
+    def propagate(self, lo: list[int], hi: list[int], act: list[int],
+                  seed) -> bool:
+        """Tighten bounds to a fixpoint, keeping act in step; False when a
+        row is unsatisfiable.
 
-        seed: row indices that may have lost their fixpoint (all rows at the
-        root; after a branch, the rows touching the branched variable).
+        seed: rows that may have lost their fixpoint. A moved bound
+        updates the activities of the rows that read it, and queues those
+        whose slack fell below their reach.
         """
-        rows, touch = self.rows, self.touch
-        queued = [False] * len(rows)
+        pos, neg, rhs, reach = self.pos, self.neg, self.rhs, self.reach
+        lo_rows, hi_rows, queued = self.lo_rows, self.hi_rows, self.queued
         pending = deque()
         for r in seed:
             if not queued[r]:
                 queued[r] = True
                 pending.append(r)
+        visits = 0
         while pending:
             r = pending.popleft()
             queued[r] = False
-            terms, rhs = rows[r]
-            minact = 0
-            for v, c in terms:
-                minact += c * (lo[v] if c > 0 else hi[v])
-            slack = rhs - minact
+            visits += 1
+            slack = rhs[r] - act[r]
             if slack < 0:
+                for r2 in pending:
+                    queued[r2] = False
+                self.row_visits += visits
                 return False
-            for v, c in terms:
-                width = hi[v] - lo[v]
-                if width == 0:
-                    continue
-                if c > 0:
-                    if c * width > slack:
-                        hi[v] = lo[v] + slack // c
-                        for r2 in touch[v]:
-                            if not queued[r2]:
-                                queued[r2] = True
-                                pending.append(r2)
-                elif -c * width > slack:
-                    lo[v] = hi[v] - slack // (-c)
-                    for r2 in touch[v]:
-                        if not queued[r2]:
+            for v, c in pos[r]:
+                if c * (hi[v] - lo[v]) > slack:
+                    new = lo[v] + slack // c
+                    d = hi[v] - new
+                    hi[v] = new
+                    for r2, a in hi_rows[v]:
+                        act[r2] += a * d
+                        if not queued[r2] and rhs[r2] - act[r2] < reach[r2]:
                             queued[r2] = True
                             pending.append(r2)
+            for v, a in neg[r]:
+                if a * (hi[v] - lo[v]) > slack:
+                    new = hi[v] - slack // a
+                    d = new - lo[v]
+                    lo[v] = new
+                    for r2, c in lo_rows[v]:
+                        act[r2] += c * d
+                        if not queued[r2] and rhs[r2] - act[r2] < reach[r2]:
+                            queued[r2] = True
+                            pending.append(r2)
+        self.row_visits += visits
         return True
 
     def pick(self, lo: list[int], hi: list[int],
@@ -150,38 +247,41 @@ class _Engine:
         return assignment
 
 
-def _search(eng: _Engine, lo: list[int], hi: list[int], seed,
-            leaf: Callable[[list[int], list[int]], bool],
-            prune: Callable[[list[int], list[int]], bool] | None = None,
+Callback = Callable[[list[int], list[int], list[int]], bool]
+
+
+def _search(eng: _Engine, lo: list[int], hi: list[int], act: list[int],
+            seed, leaf: Callback, prune: Callback | None = None,
             candidates: Sequence[int] | None = None) -> bool:
     """Depth-first search below one node; True ends the whole search.
 
-    seed: rows to propagate at this node. prune(lo, hi) True cuts the
-    node after propagation. leaf(lo, hi) runs where no candidate
-    variable (default: any variable) is left unfixed, and its return
-    value is passed up.
+    act: the rows' minimum activities over [lo, hi]; seed: rows to
+    propagate at this node. prune(lo, hi, act) True cuts the node after
+    propagation. leaf(lo, hi, act) runs where no candidate variable
+    (default: any variable) is left unfixed, and its return value is
+    passed up.
     """
     eng.tick()
-    if not eng.propagate(lo, hi, seed):
+    if not eng.propagate(lo, hi, act, seed):
         return False
-    if prune is not None and prune(lo, hi):
+    if prune is not None and prune(lo, hi, act):
         return False
     v = eng.pick(lo, hi, candidates)
     if v is None:
-        return leaf(lo, hi)
+        return leaf(lo, hi, act)
     for value in range(lo[v], hi[v] + 1):
-        lo2, hi2 = lo.copy(), hi.copy()
-        lo2[v] = hi2[v] = value
-        if _search(eng, lo2, hi2, eng.touch[v], leaf, prune, candidates):
+        lo2, hi2, act2 = lo.copy(), hi.copy(), act.copy()
+        seed2 = eng.fix(lo2, hi2, act2, v, value)
+        if _search(eng, lo2, hi2, act2, seed2, leaf, prune, candidates):
             return True
     return False
 
 
-def _root(eng: _Engine, leaf, prune=None, candidates=None) -> bool:
+def _root(eng: _Engine, leaf: Callback, prune: Callback | None = None,
+          candidates: Sequence[int] | None = None) -> bool:
     """Search from the model's own bounds; False when a cap cut it short."""
     try:
-        _search(eng, eng.root_lo.copy(), eng.root_hi.copy(),
-                range(len(eng.rows)), leaf, prune, candidates)
+        _search(eng, *eng.root(), leaf, prune, candidates)
     except _Stop:
         return False
     return True
@@ -194,7 +294,7 @@ def _minimize(eng: _Engine, terms: tuple[tuple[int, int], ...]
     best: dict[str, int] | None = None
     best_val: int | None = None
 
-    def incumbent(lo, hi) -> bool:
+    def incumbent(lo, hi, act) -> bool:
         nonlocal best, best_val
         assignment = eng.leaf_assignment(lo)
         value = sum(c * lo[v] for v, c in terms)
@@ -202,7 +302,7 @@ def _minimize(eng: _Engine, terms: tuple[tuple[int, int], ...]
             best, best_val = assignment, value
         return not terms  # a constant objective is optimal at any leaf
 
-    def prune(lo, hi) -> bool:
+    def prune(lo, hi, act) -> bool:
         return best_val is not None and sum(
             c * (lo[v] if c > 0 else hi[v]) for v, c in terms) >= best_val
 
@@ -226,7 +326,7 @@ def solve(model: LinearModel, node_cap: int | None = None,
     values: list[int] = []
     if not model.objectives:
 
-        def first(lo, hi) -> bool:
+        def first(lo, hi, act) -> bool:
             nonlocal best
             best = eng.leaf_assignment(lo)
             return True
@@ -234,7 +334,8 @@ def solve(model: LinearModel, node_cap: int | None = None,
         complete = _root(eng, first)
     for obj in model.objectives:
         sign = 1 if obj.sense == "min" else -1
-        terms = tuple((eng.index[v], sign * c) for v, c in obj.coeffs if c != 0)
+        coeffs = [(v, sign * c) for v, c in obj.coeffs]
+        terms = tuple((eng.index[v], c) for v, c in coeffs if c != 0)
         complete, assignment, value = _minimize(eng, terms)
         if assignment is None:
             break
@@ -242,14 +343,13 @@ def solve(model: LinearModel, node_cap: int | None = None,
         values.append(sign * value)
         if not complete:
             break
-        eng.add_row(terms, value)
-        eng.add_row(tuple((v, -c) for v, c in terms), -value)
+        eng.add_rows(coeffs, value, "==")
     if best is None:
         status = "infeasible" if complete else "limit_reached"
     else:
         status = "optimal" if complete and model.objectives else "feasible"
     return SolveResult(status, best, values, eng.nodes,
-                       time.monotonic() - started)
+                       time.monotonic() - started, eng.row_visits)
 
 
 def solve_lex(model: LinearModel, node_cap: int | None = None,
@@ -283,13 +383,13 @@ def enumerate_feasible(model: LinearModel, projection: Sequence[str],
     found: list[tuple[int, ...]] = []
     capped = False
 
-    def verified(lo, hi) -> bool:
+    def verified(lo, hi, act) -> bool:
         eng.leaf_assignment(lo)
         return True
 
-    def keep(lo, hi) -> bool:
+    def keep(lo, hi, act) -> bool:
         nonlocal capped
-        if not _search(eng, lo, hi, (), verified):
+        if not _search(eng, lo, hi, act, (), verified):
             return False
         if cap is not None and len(found) >= cap:
             capped = True
@@ -301,4 +401,4 @@ def enumerate_feasible(model: LinearModel, projection: Sequence[str],
     name_order = sorted(range(len(projection)), key=lambda k: projection[k])
     found.sort(key=lambda tup: tuple(tup[k] for k in name_order))
     projections = [dict(zip(projection, tup)) for tup in found]
-    return EnumerateResult(projections, truncated, eng.nodes)
+    return EnumerateResult(projections, truncated, eng.nodes, eng.row_visits)

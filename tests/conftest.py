@@ -12,9 +12,14 @@ regression fixtures were pinned by exhaustive oracle scans:
 
 from __future__ import annotations
 
+import itertools
+from functools import partial
 from pathlib import Path
 
-from stableadmit import Instance, parse_instance
+from stableadmit import (Instance, build_classical, build_combined,
+                         build_common, build_lower, build_paired,
+                         build_paired_via_common, build_scorelimits,
+                         parse_instance)
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -58,3 +63,28 @@ def t_projection(model, projections) -> set[tuple]:
     """Score-limit vectors of solver projections, in college order."""
     limits = sorted(model.vars_by_role("limit"), key=lambda v: v.key)
     return {tuple(proj[v.name] for v in limits) for proj in projections}
+
+
+# Every builder and mode, keyed by a label. test_builders.py pins the
+# formulation each one emits on every fixture (builder_pins.json) and the
+# search that solves it (search_pins.json).
+BUILDS = {
+    "classical": build_classical,
+    "classical:ties": partial(build_classical, ties=True),
+    "classical:applicant_optimal":
+        partial(build_classical, objective="applicant_optimal"),
+    "classical:applicant_pessimal":
+        partial(build_classical, objective="applicant_pessimal"),
+    **{f"scorelimits:{mode}": partial(build_scorelimits, mode=mode)
+       for mode in ("strict", "ties_min", "ties_full")},
+    "lower": build_lower,
+    "common": build_common,
+    "paired": build_paired,
+    "paired_via_common": build_paired_via_common,
+    **{f"combined[{','.join(feats) or 'none'};{policy}]":
+       partial(build_combined, group_stability=policy,
+               **dict.fromkeys(feats, True))
+       for r in range(4)
+       for feats in itertools.combinations(("ties", "lower", "common"), r)
+       for policy in ("enforce", "drop_with_lex_objective")},
+}

@@ -213,6 +213,32 @@ def test_heuristic_open_colleges_meet_lower_quotas():
                 assert c.lower <= intake[j] <= c.upper
 
 
+def test_heuristic_closure_cutoffs_are_the_lowest_admitted_scores():
+    """Each closure reports, per college still open, the lowest score it
+    admits in the matching that triggered the closure (0 when empty)."""
+    closures = 0
+    for seed in range(200):
+        inst = generate(GenConfig(n=3 + seed % 10, m=2 + seed % 4, seed=seed,
+                                  list_range=(1, 3), max_score=20,
+                                  upper_range=(1, 3), lower_range=(1, 3)))
+        _, closed, trace = lower_quota_heuristic(inst)
+        shut: set[int] = set()
+        for event in trace:
+            matching = da(inst, exclude=frozenset(shut))
+            expected = {}
+            for j in range(inst.m):
+                if j in shut or j == event.college:
+                    continue
+                scores = [inst.score_of(i, j)
+                          for i, t in matching.assignment.items() if t == j]
+                expected[j] = min(scores) if scores else 0
+            assert event.cutoffs == expected, (seed, event.college)
+            shut.add(event.college)
+        assert shut == closed
+        closures += len(trace)
+    assert closures > 100
+
+
 def test_heuristic_preconditions():
     with pytest.raises(AlgorithmError, match="tied"):
         lower_quota_heuristic(load("I3"))

@@ -1,14 +1,14 @@
 """Model builders: frozen row counts, feasible sets vs the checker."""
 
 import hashlib
-import itertools
 import json
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_DIR, load, matchings_of, t_projection, x_projection
+from conftest import (BUILDS, FIXTURE_DIR, load, matchings_of, t_projection,
+                      x_projection)
 from stableadmit import (Instance, LowerGroup, ModelError, build_classical,
                          build_combined, build_common, build_lower,
                          build_paired, build_paired_via_common,
@@ -307,30 +307,6 @@ def test_rank_objectives_bracket_the_stable_set():
     assert worst.objective_values[0] == max(totals)
 
 
-# Every builder and mode, keyed by a label. The formulation each one emits
-# is pinned in builder_pins.json so that a reordered, retagged or altered
-# row, variable or objective is caught.
-BUILDS = {
-    "classical": build_classical,
-    "classical:ties": partial(build_classical, ties=True),
-    "classical:applicant_optimal":
-        partial(build_classical, objective="applicant_optimal"),
-    "classical:applicant_pessimal":
-        partial(build_classical, objective="applicant_pessimal"),
-    **{f"scorelimits:{mode}": partial(build_scorelimits, mode=mode)
-       for mode in ("strict", "ties_min", "ties_full")},
-    "lower": build_lower,
-    "common": build_common,
-    "paired": build_paired,
-    "paired_via_common": build_paired_via_common,
-    **{f"combined[{','.join(feats) or 'none'};{policy}]":
-       partial(build_combined, group_stability=policy,
-               **dict.fromkeys(feats, True))
-       for r in range(4)
-       for feats in itertools.combinations(("ties", "lower", "common"), r)
-       for policy in ("enforce", "drop_with_lex_objective")},
-}
-
 PIN_INSTANCES = {
     **{path.stem: partial(load, path.stem)
        for path in sorted(FIXTURE_DIR.glob("*.json"))},
@@ -363,3 +339,23 @@ def test_builder_formulations_are_pinned(label):
                 build(make())
             continue
         assert model_pin(build(make())) == PINS[key], key
+
+
+SEARCH_PINS = json.loads((Path(__file__).parent / "search_pins.json")
+                         .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("label", sorted(BUILDS))
+def test_builder_searches_are_pinned(label):
+    """solve's status, node count and objective values on every accepted
+    pair of test_builder_formulations_are_pinned, captured before the
+    search core kept its row activities cached; the propagation fixpoint
+    does not depend on how it is reached, so the search must not move."""
+    build = BUILDS[label]
+    for name, make in PIN_INSTANCES.items():
+        key = f"{name} {label}"
+        assert (key in PINS) == (key in SEARCH_PINS), key
+        if key in PINS:
+            res = solve(build(make()))
+            assert [res.status, res.nodes, res.objective_values] \
+                == SEARCH_PINS[key], key

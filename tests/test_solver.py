@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from conftest import load, t_projection
-from stableadmit import (LinearModel, ModelError, assignment_satisfies,
-                         build_combined, build_scorelimits, enumerate_feasible,
+from conftest import BUILDS, load, t_projection
+from stableadmit import (GenConfig, LinearModel, ModelError,
+                         assignment_satisfies, build_combined,
+                         build_scorelimits, enumerate_feasible, generate,
                          rank_objective, solve, solve_lex)
+from stableadmit.solver import _Engine
 
 
 def binary_infeasible() -> LinearModel:
@@ -71,8 +73,12 @@ def test_determinism_of_statistics():
     first = solve(model)
     second = solve(model)
     assert first.nodes == second.nodes
+    assert first.row_visits == second.row_visits > 0
     assert first.assignment == second.assignment
     assert first.status == second.status
+    limits = [v.name for v in model.vars_by_role("limit")]
+    listed = [enumerate_feasible(model, limits) for _ in range(2)]
+    assert listed[0].row_visits == listed[1].row_visits > 0
 
 
 @pytest.mark.parametrize("name", ["I4", "I4B"])
@@ -220,3 +226,45 @@ def test_randomized_exactness_against_naive_search():
         expect = sorted({tuple(p[nm] for nm in sorted(proj)) for p in points})
         assert [tuple(p[nm] for nm in sorted(proj)) for p in got.projections] \
             == expect
+
+
+def test_cached_activities_match_a_rescan(monkeypatch):
+    """Around every propagation the cached row activities equal a
+    from-scratch recompute over the node's bounds: after a branch (on
+    entry) and after the bounds moved (on return, fixpoint or not)."""
+    outcomes = []
+    propagate = _Engine.propagate
+
+    def checked(self, lo, hi, act, seed):
+        assert act == self.activities(lo, hi)
+        ok = propagate(self, lo, hi, act, seed)
+        assert act == self.activities(lo, hi)
+        assert not any(self.queued)
+        outcomes.append(ok)
+        return ok
+
+    monkeypatch.setattr(_Engine, "propagate", checked)
+    rng = random.Random(99)
+    for _trial in range(80):
+        model, names, _ = random_model(rng)
+        model.add_constraint("empty", "", {}, "<=", rng.randint(-1, 1))
+        solve(model)
+        model.add_objective(rng.choice(("min", "max")),
+                            {nm: rng.randint(-3, 3) for nm in names})
+        solve(model)
+        enumerate_feasible(model, names[:1])
+    configs = [dict(), dict(tie_density=0.5), dict(lower_range=(1, 2)),
+               dict(topology="nested"), dict(pair_prob=0.3)]
+    for seed in range(4):
+        for extra in configs:
+            inst = generate(GenConfig(n=5, m=3, seed=seed, max_score=8,
+                                      list_range=(1, 3), **extra))
+            for build in BUILDS.values():
+                try:
+                    model = build(inst)
+                except ModelError:
+                    continue
+                solve(model, node_cap=300)
+                assign = [v.name for v in model.vars_by_role("assign")]
+                enumerate_feasible(model, assign, node_cap=300)
+    assert True in outcomes and False in outcomes
