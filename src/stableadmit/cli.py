@@ -12,6 +12,9 @@ Every successful solve is re-audited through the stability oracle; the
 verdict printed in a report always comes from the oracle, never from
 the solver alone. Model mixes without an oracle variant get a
 feasibility-only audit and the verdict "unverified".
+
+`main` builds its argument parser on first use and reuses it for every
+later call in the process.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .algorithms import AlgorithmError, induced_matching, lower_quota_heuristic
 from .builders import (add_named_objective, build_classical, build_combined,
@@ -58,6 +62,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stableadmit",
                      description="Exact solvers for college admission "

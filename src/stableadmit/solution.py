@@ -40,18 +40,6 @@ class Solution:
                 counts[target] += 1
         return counts
 
-    def matched_rank(self, inst: Instance, applicant: int) -> int | None:
-        """Rank of the applicant's matched entry, or None if unmatched."""
-        target = self.matching.get(applicant)
-        if target is None:
-            return None
-        for app in inst.by_applicant[applicant]:
-            if app.target == target:
-                return app.rank
-        raise ValueError(
-            f"matching assigns applicant {inst.applicants[applicant]} to a target "
-            f"outside their application list")
-
     def matching_by_ids(self, inst: Instance) -> dict[str, object]:
         out: dict[str, object] = {}
         for i, aid in enumerate(inst.applicants):
@@ -119,17 +107,18 @@ def solution_from_document(inst: Instance, doc: object) -> Solution:
                 if len(value) != 2:
                     raise SchemaError(f"$.matching.{aid}",
                                       "paired target must list two colleges")
-                target: Target = (_college(inst, aid, value[0]),
-                                  _college(inst, aid, value[1]))
+                target: Target = (
+                    _college(inst, f"$.matching.{aid}[0]", value[0]),
+                    _college(inst, f"$.matching.{aid}[1]", value[1]))
             else:
-                target = _college(inst, aid, value)
+                target = _college(inst, f"$.matching.{aid}", value)
             if not any(app.target == target for app in inst.by_applicant[i]):
                 raise SchemaError(f"$.matching.{aid}",
                                   "target is not on the applicant's list")
             matching[i] = target
     score_limits: dict[int, int] = {}
     for cid, value in _section(doc, "score_limits").items():
-        j = _college(inst, "score_limits", cid)
+        j = _college(inst, f"$.score_limits.{cid}", cid)
         score_limits[j] = _int(f"$.score_limits.{cid}", value)
     set_limits: dict[str, int] = {}
     known_sets = {qs.id for qs in inst.common_quota_sets}
@@ -139,7 +128,7 @@ def solution_from_document(inst: Instance, doc: object) -> Solution:
         set_limits[sid] = _int(f"$.set_limits.{sid}", value)
     open_colleges: dict[int, bool] = {}
     for cid, value in _section(doc, "open").items():
-        j = _college(inst, "open", cid)
+        j = _college(inst, f"$.open.{cid}", cid)
         if not isinstance(value, bool):
             raise SchemaError(f"$.open.{cid}", "must be true or false")
         open_colleges[j] = value
@@ -173,11 +162,11 @@ def _section(doc: dict, key: str) -> dict:
     return raw
 
 
-def _college(inst: Instance, where: str, cid: object) -> int:
+def _college(inst: Instance, path: str, cid: object) -> int:
     try:
         return inst.college_index(cid)
     except (KeyError, TypeError):
-        raise SchemaError(f"$.{where}", f"unknown college {cid!r}") from None
+        raise SchemaError(path, f"unknown college {cid!r}") from None
 
 
 def _int(path: str, value: object) -> int:

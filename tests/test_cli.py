@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path, fixture_text
+from conftest import FIXTURE_DIR, fixture_path, fixture_text
 from stableadmit import GenConfig, generate, serialize_instance
 from stableadmit.cli import main
 
@@ -282,6 +282,30 @@ def test_check_rejects_malformed_solution_files(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("fixture,doc,message", [
+    pytest.param("I2", {"matching": {"a1": "zz"}},
+                 "$.matching.a1: unknown college 'zz'", id="matching"),
+    pytest.param("PAIR1", {"matching": {"a1": ["zz", "c2"]}},
+                 "$.matching.a1[0]: unknown college 'zz'", id="pair-first"),
+    pytest.param("PAIR1", {"matching": {"a1": ["c1", "zz"]}},
+                 "$.matching.a1[1]: unknown college 'zz'", id="pair-second"),
+    pytest.param("PAIR1", {"matching": {"a1": ["c1", ["c2"]]}},
+                 "$.matching.a1[1]: unknown college ['c2']",
+                 id="pair-unhashable"),
+    pytest.param("I2", {"score_limits": {"zz": 4}},
+                 "$.score_limits.zz: unknown college 'zz'", id="score_limits"),
+    pytest.param("I2", {"open": {"zz": True}},
+                 "$.open.zz: unknown college 'zz'", id="open"),
+])
+def test_check_names_the_path_of_an_unknown_college(capsys, tmp_path,
+                                                     fixture, doc, message):
+    sol = write_json(tmp_path, "sol.json", doc)
+    code, _, err = run(capsys, "check", "--variant", "classical",
+                       str(fixture_path(fixture)), sol)
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
 def test_compare_exposes_unstable_heuristic(capsys):
     code, doc, _ = run(capsys, "compare", str(fixture_path("I8")))
     assert code == 0
@@ -318,3 +342,94 @@ def test_console_script_round_trip(launcher):
     doc = json.loads(proc.stdout)
     assert doc["score_limits"] == {"c1": 6}
     assert fixture_text("I3")  # fixture unchanged by the run
+
+
+def _unstamped(doc):
+    """A report without the fields that echo the argv and time the run."""
+    return {k: v for k, v in doc.items() if k not in ("command", "timing")}
+
+
+def _main_outcome(capsys, argv):
+    """Exit code (or SystemExit), stdout without timing, and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    try:
+        doc = json.loads(captured.out)
+    except json.JSONDecodeError:
+        out = captured.out
+    else:
+        out = {k: v for k, v in doc.items() if k != "timing"}
+    return code, out, captured.err
+
+
+def test_main_calls_share_no_state(capsys, tmp_path):
+    # main reuses one parser per process, so no call may leave anything
+    # behind that changes a later call: run the list forward, then reversed
+    i1, i2, i4b, i8 = (str(fixture_path(n)) for n in ("I1", "I2", "I4B", "I8"))
+    sol = write_json(tmp_path, "sol.json",
+                     {"matching": {"a1": None, "a2": "c1"}})
+    argvs = [
+        ("solve", i8, "--model", "lower", "--preprocess"),
+        ("solve", i8, "--model", "lower"),
+        ("solve", i2, "--no-such-flag"),
+        ("enumerate", i2, "--model", "scorelimits", "--mode", "strict",
+         "--cap", "1"),
+        ("enumerate", i2, "--model", "scorelimits", "--mode", "strict"),
+        ("enumerate", i2, "--cap", "-1"),
+        ("solve", i1, "--objective", "applicant-optimal"),
+        ("solve", i1),
+        ("frobnicate",),
+        ("solve", i4b, "--model", "combined", "--mode", "lower",
+         "--group-policy", "drop-with-lex-objective"),
+        ("solve", i4b, "--model", "combined", "--mode", "lower"),
+        ("validate", i8),
+        ("check", "--variant", "classical", i2, sol),
+        ("compare", i8),
+        ("generate", "--n", "3", "--m", "2", "--seed", "1"),
+        ("--help",),
+        ("solve", "--help"),
+    ]
+    forward = [_main_outcome(capsys, argv) for argv in argvs]
+    backward = [_main_outcome(capsys, argv) for argv in reversed(argvs)]
+    assert forward == backward[::-1]
+    assert [code for code, _, _ in forward] == [
+        0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0,
+        "SystemExit(0)", "SystemExit(0)"]
+    assert forward[0][1]["preprocess"] is not None
+    assert forward[1][1]["preprocess"] is None
+    assert (forward[3][1]["count"], forward[4][1]["count"]) == (1, 4)
+    assert forward[-2][1].startswith("usage: stableadmit [-h]")
+    assert forward[-1][1].startswith("usage: stableadmit solve [-h]")
+
+
+@pytest.mark.parametrize("command", [
+    ("--model", "classical", "--objective", "applicant-optimal"),
+    ("--model", "classical", "--objective", "applicant-pessimal"),
+    ("--model", "scorelimits", "--mode", "ties-min"),
+    ("--model", "scorelimits", "--objective", "min-score-limits"),
+    ("--model", "lower", "--objective", "lex-matched-then-limits"),
+    ("--model", "combined", "--mode", "lower",
+     "--group-policy", "drop-with-lex-objective"),
+    ("--model", "combined", "--mode", "ties,lower",
+     "--group-policy", "drop-with-lex-objective"),
+], ids=lambda command: " ".join(command[1::2]))
+def test_optimal_reports_do_not_depend_on_caps(capsys, command):
+    proved = 0
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        argv = ("solve", str(path), *command)
+        code, doc, _ = run(capsys, *argv)
+        if doc is None or doc["status"] != "optimal":
+            continue
+        nodes = doc["solver"]["nodes"]
+        for caps in (("--node-cap", str(nodes)), ("--time-cap", "1000"),
+                     ("--node-cap", str(nodes), "--time-cap", "1000")):
+            capped_code, capped, _ = run(capsys, *argv, *caps)
+            assert capped_code == code, (path.stem, caps)
+            assert _unstamped(capped) == _unstamped(doc), (path.stem, caps)
+        _, short, _ = run(capsys, *argv, "--node-cap", str(nodes - 1))
+        assert short["status"] != "optimal", path.stem
+        proved += 1
+    assert proved >= 4
