@@ -399,8 +399,10 @@ def _cmd_check(args, argv: list[str]) -> int:
         raise UsageError(f"cannot read {args.solution}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.solution}: invalid JSON: {exc}") from None
+    # a paired market keeps the empty matching, so that check refuses it
+    # with the variant's own shape message
     if variant == "scorelimits_H" and isinstance(doc, dict) \
-            and "matching" not in doc:
+            and "matching" not in doc and not inst.has_pairs:
         sol = solution_from_document(inst, doc)
         if len(sol.score_limits) != inst.m:
             raise UsageError("deriving a matching needs a score limit "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -51,10 +51,11 @@ class Application:
     rank: int                           # position in the applicant's list, 1 is best
     target: Target                      # college index, or ordered pair of indices
     score: Union[int, tuple[int, int]]  # score at the target, pairwise for pairs
+    # derived from target once, outside init, comparison, hash and repr
+    is_paired: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_paired(self) -> bool:
-        return isinstance(self.target, tuple)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_paired", isinstance(self.target, tuple))
 
     def colleges(self) -> tuple[int, ...]:
         return self.target if self.is_paired else (self.target,)
@@ -277,18 +278,28 @@ def is_nested(inst: Instance) -> bool:
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
+    """Raise SchemaError at path unless cond holds.
+
+    The loops over applicants and list entries test a field cheaply first
+    and call this or _get only when the test fails, so that a path is
+    formatted only for the error it reports."""
     if not cond:
         raise SchemaError(path, message)
 
 
 def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=None):
     if key not in obj:
-        _expect(not required, f"{path}.{key}", "missing required key")
+        if required:
+            _expect(False, f"{path}.{key}", "missing required key")
         return default
     val = obj[key]
-    ok = isinstance(val, kind) and not (kind is int and isinstance(val, bool))
-    _expect(ok, f"{path}.{key}", f"expected {kind.__name__}")
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        _expect(False, f"{path}.{key}", f"expected {kind.__name__}")
     return val
+
+
+def _entry_path(ai: int, ei: int) -> str:
+    return f"applicants[{ai}].list[{ei}]"
 
 
 def from_document(doc: dict) -> Instance:
@@ -316,41 +327,68 @@ def from_document(doc: dict) -> Instance:
     applicants = []
     applications = []
     for ai, entry in enumerate(raw_applicants):
-        path = f"applicants[{ai}]"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        aid = _get(entry, "id", path, str)
+        if not isinstance(entry, dict):
+            _expect(False, f"applicants[{ai}]", "expected an object")
+        aid = entry.get("id")
+        if type(aid) is not str:
+            aid = _get(entry, "id", f"applicants[{ai}]", str)
         for key in entry:
-            _expect(key in {"id", "list"}, f"{path}.{key}", "unknown key")
+            if key not in {"id", "list"}:
+                _expect(False, f"applicants[{ai}].{key}", "unknown key")
         applicants.append(aid)
-        raw_list = _get(entry, "list", path, list)
+        raw_list = entry.get("list")
+        if type(raw_list) is not list:
+            raw_list = _get(entry, "list", f"applicants[{ai}]", list)
         for ei, raw in enumerate(raw_list):
-            epath = f"{path}.list[{ei}]"
-            _expect(isinstance(raw, dict), epath, "expected an object")
-            rank = _get(raw, "rank", epath, int)
+            if not isinstance(raw, dict):
+                _expect(False, _entry_path(ai, ei), "expected an object")
+            rank = raw.get("rank")
+            if type(rank) is not int:
+                rank = _get(raw, "rank", _entry_path(ai, ei), int)
             has_college = "college" in raw
-            has_pair = "pair" in raw
-            _expect(has_college != has_pair, epath,
-                    "exactly one of 'college' or 'pair' is required")
+            if has_college == ("pair" in raw):
+                _expect(False, _entry_path(ai, ei),
+                        "exactly one of 'college' or 'pair' is required")
             if has_college:
                 for key in raw:
-                    _expect(key in {"rank", "college", "score"}, f"{epath}.{key}", "unknown key")
-                cid = _get(raw, "college", epath, str)
-                _expect(cid in ids, f"{epath}.college", f"unknown college id {cid!r}")
-                score = _get(raw, "score", epath, int)
-                applications.append(Application(ai, rank, ids[cid], score))
+                    if key not in {"rank", "college", "score"}:
+                        _expect(False, f"{_entry_path(ai, ei)}.{key}", "unknown key")
+                cid = raw["college"]
+                if type(cid) is not str:
+                    cid = _get(raw, "college", _entry_path(ai, ei), str)
+                j = ids.get(cid)
+                if j is None:
+                    _expect(False, f"{_entry_path(ai, ei)}.college",
+                            f"unknown college id {cid!r}")
+                score = raw.get("score")
+                if type(score) is not int:
+                    score = _get(raw, "score", _entry_path(ai, ei), int)
+                applications.append(Application(ai, rank, j, score))
             else:
                 for key in raw:
-                    _expect(key in {"rank", "pair", "scores"}, f"{epath}.{key}", "unknown key")
-                pair = _get(raw, "pair", epath, list)
-                _expect(len(pair) == 2, f"{epath}.pair", "expected two college ids")
+                    if key not in {"rank", "pair", "scores"}:
+                        _expect(False, f"{_entry_path(ai, ei)}.{key}", "unknown key")
+                pair = raw["pair"]
+                if type(pair) is not list:
+                    pair = _get(raw, "pair", _entry_path(ai, ei), list)
+                if len(pair) != 2:
+                    _expect(False, f"{_entry_path(ai, ei)}.pair", "expected two college ids")
                 for pi, cid in enumerate(pair):
-                    _expect(isinstance(cid, str), f"{epath}.pair[{pi}]", "expected str")
-                    _expect(cid in ids, f"{epath}.pair[{pi}]", f"unknown college id {cid!r}")
-                scores = _get(raw, "scores", epath, list)
-                _expect(len(scores) == 2, f"{epath}.scores", "expected two scores")
+                    if type(cid) is not str:
+                        _expect(isinstance(cid, str), f"{_entry_path(ai, ei)}.pair[{pi}]",
+                                "expected str")
+                    if cid not in ids:
+                        _expect(False, f"{_entry_path(ai, ei)}.pair[{pi}]",
+                                f"unknown college id {cid!r}")
+                scores = raw.get("scores")
+                if type(scores) is not list:
+                    scores = _get(raw, "scores", _entry_path(ai, ei), list)
+                if len(scores) != 2:
+                    _expect(False, f"{_entry_path(ai, ei)}.scores", "expected two scores")
                 for si, s in enumerate(scores):
-                    _expect(isinstance(s, int) and not isinstance(s, bool),
-                            f"{epath}.scores[{si}]", "expected int")
+                    if type(s) is not int:
+                        _expect(isinstance(s, int) and not isinstance(s, bool),
+                                f"{_entry_path(ai, ei)}.scores[{si}]", "expected int")
                 applications.append(Application(
                     ai, rank, (ids[pair[0]], ids[pair[1]]), (scores[0], scores[1])))
     raw_sets = _get(doc, "common_quotas", "$", list, required=False, default=[])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import inf
 
 from .instance import Application, Instance
 from .solution import Solution, empty_matching
@@ -118,15 +119,27 @@ def _matched_rank(inst: Instance, sol: Solution, i: int) -> int | None:
     return None
 
 
-def _admitted_at(inst: Instance, sol: Solution, j: int) -> list[int]:
-    """Applicants holding a seat at college j, counting paired admissions."""
-    out = []
+def _admitted(inst: Instance, sol: Solution) -> list[list[int]]:
+    """Per college, the applicants holding a seat there in matching order,
+    from one pass over the matching; a paired admission counts at both."""
+    out: list[list[int]] = [[] for _ in range(inst.m)]
     for i, target in sol.matching.items():
         if target is None:
             continue
-        if target == j or (isinstance(target, tuple) and j in target):
-            out.append(i)
+        if isinstance(target, tuple):
+            for j in target:
+                out[j].append(i)
+        else:
+            out[target].append(i)
     return out
+
+
+def _lowest(inst: Instance, admitted: list[list[int]]) -> list[float]:
+    """Per college, the lowest score among its admits; inf when it has none.
+    A college holds a weaker admit than score s iff its lowest is below s,
+    so only then does a blocking check scan its list for the first one."""
+    return [min((inst.score_of(h, j) for h in hs), default=inf)
+            for j, hs in enumerate(admitted)]
 
 
 def _quota_violations(inst: Instance, sol: Solution) -> list[Violation]:
@@ -147,6 +160,8 @@ def _check_pairwise(inst: Instance, sol: Solution, weak: bool) -> StabilityRepor
     _validate_matching(inst, sol, allow_pairs=False)
     violations = _quota_violations(inst, sol)
     intake = sol.intake(inst)
+    admitted = _admitted(inst, sol)
+    lowest = _lowest(inst, admitted)
     for app in inst.applications:
         i, j = app.applicant, app.target
         rank = _matched_rank(inst, sol, i)
@@ -159,7 +174,9 @@ def _check_pairwise(inst: Instance, sol: Solution, weak: bool) -> StabilityRepor
                 "college has a free seat"))
             continue
         s = app.score
-        for h in _admitted_at(inst, sol, j):
+        if lowest[j] >= s:
+            continue
+        for h in admitted[j]:
             sh = inst.score_of(h, j)
             if h != i and sh < s:
                 violations.append(Violation(
@@ -283,6 +300,8 @@ def _check_lower(inst: Instance, sol: Solution) -> StabilityReport:
                         "quota_breach", {"group": g.id},
                         f"open group admits {total}, lower quota {g.lower}"))
     # pairwise stability at open colleges
+    admitted = _admitted(inst, sol)
+    lowest = _lowest(inst, admitted)
     for app in inst.applications:
         i, j = app.applicant, app.target
         if not flags[j]:
@@ -296,7 +315,9 @@ def _check_lower(inst: Instance, sol: Solution) -> StabilityReport:
                 {"applicant": inst.applicants[i], "college": inst.colleges[j].id},
                 "open college has a free seat"))
             continue
-        for h in _admitted_at(inst, sol, j):
+        if lowest[j] >= app.score:
+            continue
+        for h in admitted[j]:
             if h != i and inst.score_of(h, j) < app.score:
                 violations.append(Violation(
                     "blocking_pair",
@@ -348,6 +369,7 @@ def _check_common(inst: Instance, sol: Solution) -> StabilityReport:
                 f"{total} admitted across the set with {qs.upper} joint seats"))
     if violations:
         return _verdict(violations)
+    lowest = _lowest(inst, _admitted(inst, sol))
     for app in inst.applications:
         i, j = app.applicant, app.target
         rank = _matched_rank(inst, sol, i)
@@ -355,9 +377,8 @@ def _check_common(inst: Instance, sol: Solution) -> StabilityReport:
             continue
         justified = False
         for sid, members, upper in _containing_sets(inst, j):
-            admitted = [(h, k) for k in members for h in _admitted_at(inst, sol, k)]
-            if len(admitted) == upper and all(
-                    inst.score_of(h, k) > app.score for h, k in admitted):
+            if sum(intake[k] for k in members) == upper and \
+                    min(lowest[k] for k in members) > app.score:
                 justified = True
                 break
         if not justified:
@@ -368,11 +389,9 @@ def _check_common(inst: Instance, sol: Solution) -> StabilityReport:
     return _verdict(violations)
 
 
-def _college_full_of_better(inst: Instance, sol: Solution, j: int, score: int) -> bool:
-    admitted = _admitted_at(inst, sol, j)
-    if len(admitted) < inst.colleges[j].upper:
-        return False
-    return all(inst.score_of(h, j) > score for h in admitted)
+def _college_full_of_better(inst: Instance, admitted: list[list[int]],
+                            lowest: list[float], j: int, score: int) -> bool:
+    return len(admitted[j]) >= inst.colleges[j].upper and lowest[j] > score
 
 
 def _check_paired(inst: Instance, sol: Solution) -> StabilityReport:
@@ -384,6 +403,8 @@ def _check_paired(inst: Instance, sol: Solution) -> StabilityReport:
     violations = _quota_violations(inst, sol)
     if violations:
         return _verdict(violations)
+    admitted = _admitted(inst, sol)
+    lowest = _lowest(inst, admitted)
     for app in inst.applications:
         i = app.applicant
         rank = _matched_rank(inst, sol, i)
@@ -391,8 +412,9 @@ def _check_paired(inst: Instance, sol: Solution) -> StabilityReport:
             continue
         if app.is_paired:
             j, k = app.target
-            if not (_college_full_of_better(inst, sol, j, app.score_at(j))
-                    or _college_full_of_better(inst, sol, k, app.score_at(k))):
+            if not (_college_full_of_better(inst, admitted, lowest, j, app.score_at(j))
+                    or _college_full_of_better(inst, admitted, lowest, k,
+                                               app.score_at(k))):
                 violations.append(Violation(
                     "paired_block",
                     {"applicant": inst.applicants[i],
@@ -400,7 +422,7 @@ def _check_paired(inst: Instance, sol: Solution) -> StabilityReport:
                     "neither college is full of better admits"))
         else:
             j = app.target
-            if not _college_full_of_better(inst, sol, j, app.score):
+            if not _college_full_of_better(inst, admitted, lowest, j, app.score):
                 violations.append(Violation(
                     "blocking_pair",
                     {"applicant": inst.applicants[i], "college": inst.colleges[j].id},

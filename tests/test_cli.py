@@ -273,6 +273,17 @@ def test_check_derives_matching_from_limits(capsys, tmp_path):
     assert "score limit for every college" in err
 
 
+def test_check_limits_only_on_paired_market_is_refused(capsys, tmp_path):
+    limits = write_json(tmp_path, "limits.json",
+                        {"score_limits": {"c1": 1, "c2": 1}})
+    code, doc, err = run(capsys, "check", "--variant", "scorelimits",
+                         str(fixture_path("PAIR1")), limits)
+    assert code == 1
+    assert doc is None
+    assert err == "error: score-limit variant needs simple applications\n"
+    assert "Traceback" not in err
+
+
 def test_check_rejects_malformed_solution_files(capsys, tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{nope", encoding="utf-8")

@@ -1,11 +1,18 @@
 """Stability checking and exhaustive enumeration across all variants."""
 
+import hashlib
+import json
+import random
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from conftest import load, matchings_of
 from stableadmit import (College, GenConfig, Instance, LowerGroup, ShapeError,
-                         SizeGuardError, Solution, check, empty_matching,
-                         enumerate_stable, generate)
+                         SizeGuardError, Solution, check, da, empty_matching,
+                         enumerate_stable, generate, gs_scorelimits,
+                         lower_quota_heuristic)
 
 
 def msol(inst, **assign) -> Solution:
@@ -237,3 +244,125 @@ def test_enumeration_cap_truncates():
     res = enumerate_stable(load("I3"), "weak_ties", cap=1)
     assert res.truncated
     assert len(res.solutions) == 1
+
+
+# Report pins: seeded markets under every matching-based variant, each
+# checked against DA/GS outcomes and perturbed copies of them, so that
+# unstable and infeasible reports with violation details are covered.
+PIN_MARKETS = {
+    "classical": dict(n=10, m=3, list_range=(1, 3), max_score=20,
+                      upper_range=(1, 4)),
+    "weak_ties": dict(n=10, m=3, list_range=(1, 3), max_score=6,
+                      tie_density=0.5, upper_range=(1, 4)),
+    "lower": dict(n=10, m=3, list_range=(1, 3), max_score=20,
+                  upper_range=(1, 4), lower_range=(0, 3)),
+    "common": dict(n=10, m=4, list_range=(1, 3), max_score=20,
+                   upper_range=(1, 4), topology="random", set_count=2),
+    "paired": dict(n=10, m=3, list_range=(1, 3), max_score=20,
+                   upper_range=(1, 4), pair_prob=0.3),
+}
+PIN_SEEDS = range(12)
+
+
+def _greedy(inst, order):
+    """First application on each list that still fits every college and
+    quota-set capacity."""
+    matching = empty_matching(inst)
+    intake = [0] * inst.m
+
+    def fits(j):
+        return intake[j] < inst.colleges[j].upper and all(
+            sum(intake[k] for k in qs.members) < qs.upper
+            for qs in inst.common_quota_sets if j in qs.members)
+
+    for i in order:
+        for app in inst.by_applicant[i]:
+            if all(fits(j) for j in app.colleges()):
+                for j in app.colleges():
+                    intake[j] += 1
+                matching[i] = app.target
+                break
+    return matching
+
+
+def _base_solutions(variant, inst):
+    if variant == "classical":
+        return {side: da(inst, side).to_solution(inst)
+                for side in ("applicant", "college")}
+    if variant == "weak_ties":
+        return {side: gs_scorelimits(inst, side)[0].to_solution(inst)
+                for side in ("applicant", "college")}
+    if variant == "lower":
+        matching, closed, _ = lower_quota_heuristic(inst)
+        flags = {j: j not in closed for j in range(inst.m)}
+        return {"heuristic": matching.to_solution(inst, open_colleges=flags),
+                "da": da(inst).to_solution(inst)}
+    if variant == "common":
+        plain = replace(inst, common_quota_sets=())
+        return {"da": da(plain).to_solution(inst),
+                "greedy": Solution(matching=_greedy(inst, range(inst.n)))}
+    return {"greedy": Solution(matching=_greedy(inst, range(inst.n))),
+            "greedy_reversed":
+                Solution(matching=_greedy(inst, reversed(range(inst.n))))}
+
+
+def _perturbations(inst, sol, rng):
+    """A dropped admission, a seat swapped for another entry on the same
+    list, an over-quota college and a shuffled matching order."""
+    def with_matching(matching):
+        return replace(sol, matching=matching)
+
+    out = {"as_is": sol}
+    matched = [i for i, t in sol.matching.items() if t is not None]
+    if matched:
+        dropped = dict(sol.matching)
+        dropped[rng.choice(matched)] = None
+        out["drop"] = with_matching(dropped)
+    movable = [i for i in range(inst.n) if len(inst.by_applicant[i]) > 1]
+    if movable:
+        i = rng.choice(movable)
+        swapped = dict(sol.matching)
+        swapped[i] = rng.choice([a.target for a in inst.by_applicant[i]
+                                 if a.target != sol.matching[i]])
+        out["swap"] = with_matching(swapped)
+    j = rng.randrange(inst.m)
+    overfilled = dict(sol.matching)
+    for app in inst.seats_at[j]:
+        overfilled[app.applicant] = app.target
+    out["overfill"] = with_matching(overfilled)
+    keys = list(sol.matching)
+    rng.shuffle(keys)
+    out["shuffle"] = with_matching({i: sol.matching[i] for i in keys})
+    return out
+
+
+def report_digests() -> dict[str, str]:
+    """sha256 of every pinned triple's report JSON, by triple label."""
+    digests = {}
+    for variant, params in PIN_MARKETS.items():
+        for seed in PIN_SEEDS:
+            inst = generate(GenConfig(seed=seed, **params))
+            rng = random.Random(seed)
+            for base, sol in _base_solutions(variant, inst).items():
+                for how, trial in _perturbations(inst, sol, rng).items():
+                    report = check(inst, trial, variant).to_report()
+                    body = json.dumps(report, sort_keys=True)
+                    digests[f"{variant} seed={seed} {base} {how}"] = \
+                        hashlib.sha256(body.encode()).hexdigest()
+    return digests
+
+
+def test_oracle_reports_are_pinned():
+    """Every report matches the digest captured once, before the oracle
+    built its per-college admitted lists in one pass over the matching,
+    with
+
+      PYTHONPATH=src:tests python -c "import json, test_oracle as t; \\
+        print(json.dumps(t.report_digests(), indent=1, sort_keys=True))" \\
+        > tests/oracle_pins.json
+
+    Violation details name the first admit in matching order, so a
+    reordered admitted list changes some digests."""
+    pins = json.loads((Path(__file__).parent / "oracle_pins.json")
+                      .read_text(encoding="utf-8"))
+    assert report_digests() == pins
