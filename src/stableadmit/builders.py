@@ -13,6 +13,10 @@ build_scorelimits, build_lower and build_common are presets over it,
 as the strict mode is over build_paired; presets keep their own
 refusals and model names.
 
+Each build formats its variable names and row subjects once and every
+row reads them from there, so the work of a build grows with the rows
+and nonzeros it emits, each of which LinearModel checks.
+
 Big-M constants stay at their defining sizes rather than being
 tightened, keeping every row auditable against the stability
 definition it encodes. All coefficients, bounds and right-hand sides
@@ -22,7 +26,7 @@ are integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .instance import Application, Instance
 from .linmodel import LinearModel, ModelError, assignment_satisfies
@@ -57,145 +61,172 @@ def _xname(app: Application) -> str:
     return f"x_{app.applicant}_{app.target}"
 
 
-def _entry_subject(inst: Instance, app: Application) -> str:
-    aid = inst.applicants[app.applicant]
-    if app.is_paired:
-        j, k = app.target
-        return f"{aid},{inst.colleges[j].id}+{inst.colleges[k].id}"
-    return f"{aid},{inst.colleges[app.target].id}"
+class _Entry(NamedTuple):
+    """One application with the names its rows use."""
+    app: Application
+    x: str          # assignment variable
+    subject: str    # row subject: applicant id, then target college id(s)
+    pos: int        # position in the applicant's rank-ordered list
 
 
-def _add_assignment(model: LinearModel, inst: Instance) -> None:
-    for app in inst.applications:
-        model.add_var(_xname(app), 0, 1, role="assign",
-                      key=(app.applicant, app.target))
+class _Names:
+    """The names of one build, each formatted once.
+
+    x_of[i] holds applicant i's assignment variables in rank order, so
+    the applications ranked at least as well as an entry are
+    x_of[i][:pos + 1]; entries follows inst.applications and at[j]
+    follows inst.seats_at[j]."""
+
+    def __init__(self, inst: Instance) -> None:
+        cids = [c.id for c in inst.colleges]
+        self.x_of: list[tuple[str, ...]] = []
+        entry_of: dict[int, _Entry] = {}    # id(application) -> its entry
+        for aid, apps in zip(inst.applicants, inst.by_applicant):
+            names = tuple(_xname(app) for app in apps)
+            self.x_of.append(names)
+            for pos, app in enumerate(apps):
+                if app.is_paired:
+                    j, k = app.target
+                    subject = f"{aid},{cids[j]}+{cids[k]}"
+                else:
+                    subject = f"{aid},{cids[app.target]}"
+                entry_of[id(app)] = _Entry(app, names[pos], subject, pos)
+        self.entries = [entry_of[id(app)] for app in inst.applications]
+        self.at: list[list[_Entry]] = [[] for _ in cids]
+        for entry in self.entries:
+            for j in entry.app.colleges():
+                self.at[j].append(entry)
+        self.limit = [f"t_{j}" for j in range(inst.m)]
+
+    def better(self, entry: _Entry) -> tuple[str, ...]:
+        """Assignment variables of the entry's applicant ranked at least
+        as well as the entry, itself included."""
+        return self.x_of[entry.app.applicant][:entry.pos + 1]
 
 
-def _add_applicant_feasible(model: LinearModel, inst: Instance) -> None:
-    for i, aid in enumerate(inst.applicants):
-        coeffs = {_xname(app): 1 for app in inst.by_applicant[i]}
-        model.add_constraint("applicant_feasible", aid, coeffs, "<=", 1)
+def _add_assignment(model: LinearModel, nm: _Names) -> None:
+    for e in nm.entries:
+        model.add_var(e.x, 0, 1, role="assign",
+                      key=(e.app.applicant, e.app.target))
 
 
-def _intake_coeffs(inst: Instance, j: int) -> dict[str, int]:
+def _add_applicant_feasible(model: LinearModel, inst: Instance, nm: _Names) -> None:
+    for aid, names in zip(inst.applicants, nm.x_of):
+        model.add_constraint("applicant_feasible", aid,
+                             dict.fromkeys(names, 1), "<=", 1)
+
+
+def _intake_coeffs(nm: _Names, j: int) -> dict[str, int]:
     """Seats taken at college j; a paired admission takes one of them."""
-    return {_xname(app): 1 for app in inst.seats_at[j]}
+    return {e.x: 1 for e in nm.at[j]}
 
 
-def _add_college_feasible(model: LinearModel, inst: Instance) -> None:
+def _add_college_feasible(model: LinearModel, inst: Instance, nm: _Names) -> None:
     for j, c in enumerate(inst.colleges):
         model.add_constraint("college_feasible", c.id,
-                             _intake_coeffs(inst, j), "<=", c.upper)
+                             _intake_coeffs(nm, j), "<=", c.upper)
 
 
-def _add_pairwise_stable(model: LinearModel, inst: Instance, ties: bool = False,
-                         *, open_relaxed: bool = False) -> None:
+def _add_pairwise_stable(model: LinearModel, inst: Instance, nm: _Names,
+                         ties: bool = False, *, open_relaxed: bool = False) -> None:
     # blocked unless matched at least as well, or the college is filled by
     # strictly better scores (ties variant: at-least-as-good scores); with
     # open flags in play the row is waived at closed colleges
     tag = ("lower_stable_open" if open_relaxed
            else "stable_ties" if ties else "stable")
-    for app in inst.applications:
-        i, j = app.applicant, app.target
+    holders = [[(inst.score_of(h, j), f"x_{h}_{j}") for h in applicants]
+               for j, applicants in enumerate(inst.applicants_at)]
+    for e in nm.entries:
+        j, score = e.app.target, e.app.score
         u = inst.colleges[j].upper
-        coeffs: dict[str, int] = {}
-        for other in inst.by_applicant[i]:
-            if other.rank <= app.rank:
-                name = _xname(other)
-                coeffs[name] = coeffs.get(name, 0) + u
-        for h in inst.applicants_at[j]:
-            sh = inst.score_of(h, j)
-            if sh > app.score or (ties and sh >= app.score):
-                name = f"x_{h}_{j}"
+        coeffs = dict.fromkeys(nm.better(e), u)
+        for sh, name in holders[j]:
+            if sh > score or (ties and sh >= score):
                 coeffs[name] = coeffs.get(name, 0) + 1
         rhs = u
         if open_relaxed:
             coeffs[f"o_{j}"] = -u
             rhs = 0
-        model.add_constraint(tag, _entry_subject(inst, app), coeffs, ">=", rhs)
+        model.add_constraint(tag, e.subject, coeffs, ">=", rhs)
 
 
-def _add_limit_vars(model: LinearModel, inst: Instance) -> None:
+def _add_limit_vars(model: LinearModel, inst: Instance, nm: _Names) -> None:
     top = inst.max_score + 1
-    for j in range(inst.m):
-        model.add_var(f"t_{j}", 0, top, role="limit", key=j)
+    for j, name in enumerate(nm.limit):
+        model.add_var(name, 0, top, role="limit", key=j)
 
 
-def _add_limit_link(model: LinearModel, inst: Instance,
-                    apps: Sequence[Application], *,
+def _add_limit_link(model: LinearModel, inst: Instance, nm: _Names,
+                    entries: Sequence[_Entry], *,
                     open_relaxed: bool = False) -> None:
     """Tie cutoffs to the matching over the given simple applications:
     admitted applicants meet the cutoff, rejected ones fail it or hold a
     better seat (or the college is closed when open flags are in play)."""
     top = inst.max_score + 1
-    for app in apps:
+    for e in entries:
         model.add_constraint(
-            "score_stable_college", _entry_subject(inst, app),
-            {f"t_{app.target}": 1, _xname(app): top}, "<=", top + app.score)
-    for app in apps:
-        i, j = app.applicant, app.target
-        coeffs = {f"t_{j}": 1}
-        for other in inst.by_applicant[i]:
-            if other.rank <= app.rank:
-                coeffs[_xname(other)] = top
+            "score_stable_college", e.subject,
+            {nm.limit[e.app.target]: 1, e.x: top}, "<=", top + e.app.score)
+    for e in entries:
+        j = e.app.target
+        coeffs = {nm.limit[j]: 1}
+        for name in nm.better(e):
+            coeffs[name] = top
         if open_relaxed:
             coeffs[f"o_{j}"] = -top
-            model.add_constraint("open_score_stable_applicant",
-                                 _entry_subject(inst, app), coeffs,
-                                 ">=", app.score + 1 - top)
+            model.add_constraint("open_score_stable_applicant", e.subject,
+                                 coeffs, ">=", e.app.score + 1 - top)
         else:
-            model.add_constraint("score_stable_applicant",
-                                 _entry_subject(inst, app), coeffs,
-                                 ">=", app.score + 1)
+            model.add_constraint("score_stable_applicant", e.subject,
+                                 coeffs, ">=", e.app.score + 1)
 
 
-def _add_filled_flags(model: LinearModel, inst: Instance) -> None:
+def _add_filled_flags(model: LinearModel, inst: Instance, nm: _Names) -> None:
     """Unfilled colleges carry a zero cutoff; only full ones may reject."""
     top = inst.max_score + 1
     for j in range(inst.m):
         model.add_var(f"f_{j}", 0, 1, role="filled", key=j)
     for j, c in enumerate(inst.colleges):
-        coeffs = _intake_coeffs(inst, j)
+        coeffs = _intake_coeffs(nm, j)
         coeffs[f"f_{j}"] = -c.upper
         model.add_constraint("filled_flag", c.id, coeffs, ">=", 0)
     for j, c in enumerate(inst.colleges):
         model.add_constraint("unfilled_zero", c.id,
-                             {f"t_{j}": 1, f"f_{j}": -top}, "<=", 0)
+                             {nm.limit[j]: 1, f"f_{j}": -top}, "<=", 0)
 
 
-def _add_witness_closure(model: LinearModel, inst: Instance) -> None:
+def _add_witness_closure(model: LinearModel, inst: Instance, nm: _Names) -> None:
     """Replace the filled-flag closure for tied scores: any positive cutoff
     must be irreducible, witnessed by enough holders plus applicants who
     would move in if the cutoff dropped by one."""
     top = inst.max_score + 1
     for j in range(inst.m):
         model.add_var(f"yflag_{j}", 0, 1, role="positive", key=j)
-    for app in inst.applications:
-        model.add_var(f"d_{app.applicant}_{app.target}", 0, 1, role="desire",
-                      key=(app.applicant, app.target))
+    desire_of = [tuple(f"d_{i}_{app.target}" for app in apps)
+                 for i, apps in enumerate(inst.by_applicant)]
+    desire = [desire_of[e.app.applicant][e.pos] for e in nm.entries]
+    for e, d in zip(nm.entries, desire):
+        model.add_var(d, 0, 1, role="desire",
+                      key=(e.app.applicant, e.app.target))
     for j, c in enumerate(inst.colleges):
         model.add_constraint("positive_limit_flag", c.id,
-                             {f"t_{j}": 1, f"yflag_{j}": -top}, "<=", 0)
-    for app in inst.applications:
-        i = app.applicant
-        coeffs: dict[str, int] = {}
-        for other in inst.by_applicant[i]:
-            if other.rank >= app.rank:
-                coeffs[f"d_{i}_{other.target}"] = 1
-        coeffs[_xname(app)] = inst.m
-        model.add_constraint("desire_rank_order", _entry_subject(inst, app),
+                             {nm.limit[j]: 1, f"yflag_{j}": -top}, "<=", 0)
+    for e in nm.entries:
+        # the applicant's desire flags ranked at or below this entry
+        coeffs = dict.fromkeys(desire_of[e.app.applicant][e.pos:], 1)
+        coeffs[e.x] = inst.m
+        model.add_constraint("desire_rank_order", e.subject,
                              coeffs, "<=", inst.m)
-    for app in inst.applications:
-        i, j = app.applicant, app.target
+    for e, d in zip(nm.entries, desire):
         model.add_constraint(
-            "desire_score_margin", _entry_subject(inst, app),
-            {f"t_{j}": 1, f"d_{i}_{j}": inst.max_score}, "<=",
-            inst.max_score + app.score + 1)
+            "desire_score_margin", e.subject,
+            {nm.limit[e.app.target]: 1, d: inst.max_score}, "<=",
+            inst.max_score + e.app.score + 1)
     for j, c in enumerate(inst.colleges):
         coeffs = {}
-        for i in inst.applicants_at[j]:
-            coeffs[f"x_{i}_{j}"] = 1
-            coeffs[f"d_{i}_{j}"] = 1
+        for e in nm.at[j]:
+            coeffs[e.x] = 1
+            coeffs[desire_of[e.app.applicant][e.pos]] = 1
         coeffs[f"yflag_{j}"] = -(c.upper + 1)
         model.add_constraint("limit_irreducible", c.id, coeffs, ">=", 0)
 
@@ -205,18 +236,18 @@ def _add_open_vars(model: LinearModel, inst: Instance) -> None:
         model.add_var(f"o_{j}", 0, 1, role="open", key=j)
 
 
-def _add_lower_feasible(model: LinearModel, inst: Instance) -> None:
+def _add_lower_feasible(model: LinearModel, inst: Instance, nm: _Names) -> None:
     for j, c in enumerate(inst.colleges):
-        coeffs = _intake_coeffs(inst, j)
+        coeffs = _intake_coeffs(nm, j)
         coeffs[f"o_{j}"] = -c.lower
         model.add_constraint("lower_feasible_lb", c.id, coeffs, ">=", 0)
     for j, c in enumerate(inst.colleges):
-        coeffs = _intake_coeffs(inst, j)
+        coeffs = _intake_coeffs(nm, j)
         coeffs[f"o_{j}"] = -c.upper
         model.add_constraint("lower_feasible_ub", c.id, coeffs, "<=", 0)
 
 
-def _add_group_rows(model: LinearModel, inst: Instance) -> None:
+def _add_group_rows(model: LinearModel, inst: Instance, nm: _Names) -> None:
     """Members of a group open or close together; an open group meets its
     joint lower quota."""
     for gi, g in enumerate(inst.lower_quota_groups):
@@ -228,26 +259,23 @@ def _add_group_rows(model: LinearModel, inst: Instance) -> None:
     for gi, g in enumerate(inst.lower_quota_groups):
         coeffs: dict[str, int] = {}
         for j in g.members:
-            coeffs.update(_intake_coeffs(inst, j))
+            coeffs.update(_intake_coeffs(nm, j))
         coeffs[f"ogrp_{gi}"] = -g.lower
         model.add_constraint("group_lower_feasible", g.id, coeffs, ">=", 0)
 
 
-def _add_lower_stable_closed(model: LinearModel, inst: Instance) -> None:
+def _add_lower_stable_closed(model: LinearModel, inst: Instance,
+                             nm: _Names) -> None:
     # a closed college must leave fewer unsatisfied applicants than its
     # lower quota; applicants admitted strictly better do not count
     for j, c in enumerate(inst.colleges):
-        applicants = inst.applicants_at[j]
         coeffs: dict[str, int] = {}
-        for i in applicants:
-            rank_here = min(a.rank for a in inst.by_applicant[i] if a.target == j)
-            for other in inst.by_applicant[i]:
-                if other.rank < rank_here:
-                    name = _xname(other)
-                    coeffs[name] = coeffs.get(name, 0) - 1
+        for e in nm.at[j]:
+            for name in nm.x_of[e.app.applicant][:e.pos]:
+                coeffs[name] = coeffs.get(name, 0) - 1
         coeffs[f"o_{j}"] = -(inst.n - c.lower + 1)
         model.add_constraint("lower_stable_closed", c.id, coeffs, "<=",
-                             c.lower - 1 - len(applicants))
+                             c.lower - 1 - len(inst.applicants_at[j]))
 
 
 def build_classical(inst: Instance, ties: bool = False,
@@ -263,10 +291,11 @@ def build_classical(inst: Instance, ties: bool = False,
         _refuse("build_classical", f"unknown objective {objective!r}")
     _require("build_classical", inst, ties=ties)
     model = LinearModel(name="classical")
-    _add_assignment(model, inst)
-    _add_applicant_feasible(model, inst)
-    _add_college_feasible(model, inst)
-    _add_pairwise_stable(model, inst, ties=ties)
+    nm = _Names(inst)
+    _add_assignment(model, nm)
+    _add_applicant_feasible(model, inst, nm)
+    _add_college_feasible(model, inst, nm)
+    _add_pairwise_stable(model, inst, nm, ties=ties)
     if objective != "none":
         add_named_objective(inst, model, objective)
     return model
@@ -329,7 +358,7 @@ class _SeatPool:
     intake: tuple[str, ...]   # assignment variables the pool counts
 
 
-def _emit_common_rows(model: LinearModel, inst: Instance,
+def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
                       pools: list[_SeatPool],
                       containing: Callable[[Application], list[tuple[int, int]]],
                       *, open_relaxed: bool = False,
@@ -348,11 +377,12 @@ def _emit_common_rows(model: LinearModel, inst: Instance,
     if with_flags:
         for pool in pools:
             model.add_var(pool.filled, 0, 1, role=pool.filled_role, key=pool.key)
+    memberships = [containing(e.app) for e in nm.entries]
     used: dict[tuple[int, int], str] = {}
-    for app in inst.applications:
-        for si, _score in containing(app):
-            used.setdefault((app.applicant, si),
-                            f"esc_{app.applicant}_{pools[si].suffix}")
+    for e, within in zip(nm.entries, memberships):
+        i = e.app.applicant
+        for si, _score in within:
+            used.setdefault((i, si), f"esc_{i}_{pools[si].suffix}")
     for (i, si), name in sorted(used.items()):
         model.add_var(name, 0, 1, role="escape", key=(i, pools[si].label))
     for pool in pools:
@@ -360,32 +390,30 @@ def _emit_common_rows(model: LinearModel, inst: Instance,
             continue
         model.add_constraint(pool.cap_tag, pool.label,
                              {x: 1 for x in pool.intake}, "<=", pool.upper)
-    for app in inst.applications:
-        for si, score in containing(app):
+    for e, within in zip(nm.entries, memberships):
+        for si, score in within:
             pool = pools[si]
             model.add_constraint(
-                "common_score_college",
-                f"{_entry_subject(inst, app)}@{pool.label}",
-                {pool.limit: 1, _xname(app): top}, "<=", top + score)
+                "common_score_college", f"{e.subject}@{pool.label}",
+                {pool.limit: 1, e.x: top}, "<=", top + score)
     tag = "common_open_score_applicant" if open_relaxed else "common_score_applicant"
-    for app in inst.applications:
-        i = app.applicant
-        better = {_xname(o): top for o in inst.by_applicant[i]
-                  if o.rank <= app.rank}
-        for si, score in containing(app):
+    for e, within in zip(nm.entries, memberships):
+        i = e.app.applicant
+        better = dict.fromkeys(nm.better(e), top)
+        for si, score in within:
             pool = pools[si]
             coeffs = {pool.limit: 1, **better, used[(i, si)]: top}
             rhs = score + 1
             if open_relaxed:
-                coeffs[f"o_{app.target}"] = -top
+                coeffs[f"o_{e.app.target}"] = -top
                 rhs -= top
-            model.add_constraint(tag, f"{_entry_subject(inst, app)}@{pool.label}",
+            model.add_constraint(tag, f"{e.subject}@{pool.label}",
                                  coeffs, ">=", rhs)
-    for app in inst.applications:
-        memberships = containing(app)
-        coeffs = {used[(app.applicant, si)]: 1 for si, _ in memberships}
-        model.add_constraint("common_escape_budget", _entry_subject(inst, app),
-                             coeffs, "<=", len(memberships) - 1)
+    for e, within in zip(nm.entries, memberships):
+        i = e.app.applicant
+        coeffs = {used[(i, si)]: 1 for si, _ in within}
+        model.add_constraint("common_escape_budget", e.subject,
+                             coeffs, "<=", len(within) - 1)
     if with_flags:
         for pool in pools:
             coeffs = {x: 1 for x in pool.intake}
@@ -396,25 +424,25 @@ def _emit_common_rows(model: LinearModel, inst: Instance,
                                  {pool.limit: 1, pool.filled: -top}, "<=", 0)
 
 
-def _college_pools(inst: Instance) -> list[_SeatPool]:
+def _college_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
     """Each college's own pool over its simple applications."""
     return [
-        _SeatPool("college_feasible", c.id, f"c{j}", f"t_{j}", f"f_{j}",
+        _SeatPool("college_feasible", c.id, f"c{j}", nm.limit[j], f"f_{j}",
                   "limit", "filled", j, c.upper,
-                  tuple(_xname(a) for a in inst.seats_at[j] if not a.is_paired))
+                  tuple(e.x for e in nm.at[j] if not e.app.is_paired))
         for j, c in enumerate(inst.colleges)
     ]
 
 
-def _common_pools(inst: Instance) -> tuple[
+def _common_pools(inst: Instance, nm: _Names) -> tuple[
         list[_SeatPool], Callable[[Application], list[tuple[int, int]]]]:
-    pools = _college_pools(inst)
+    pools = _college_pools(inst, nm)
     for si, qs in enumerate(inst.common_quota_sets):
         members = set(qs.members)
         pools.append(_SeatPool(
             "common_feasible", qs.id, f"s{si}", f"tset_{si}", f"fset_{si}",
             "set_limit", "set_filled", qs.id, qs.upper,
-            tuple(_xname(a) for a in inst.applications if a.target in members)))
+            tuple(e.x for e in nm.entries if e.app.target in members)))
     pools_of: list[list[int]] = [[j] for j in range(inst.m)]
     for si, qs in enumerate(inst.common_quota_sets):
         for j in qs.members:
@@ -448,54 +476,52 @@ def build_paired(inst: Instance) -> LinearModel:
     """
     _require("build_paired", inst, pairs=True)
     model = LinearModel(name="paired")
-    _add_assignment(model, inst)
-    _add_limit_vars(model, inst)
-    for app in inst.applications:
-        if app.is_paired:
-            j, k = app.target
-            model.add_var(f"esc_{app.applicant}_{j}_{k}", 0, 1, role="escape",
-                          key=(app.applicant, app.target))
-    _add_applicant_feasible(model, inst)
-    _add_college_feasible(model, inst)
-    _add_limit_link(model, inst,
-                    [a for a in inst.applications if not a.is_paired])
+    nm = _Names(inst)
+    _add_assignment(model, nm)
+    _add_limit_vars(model, inst, nm)
+    pairs = [e for e in nm.entries if e.app.is_paired]
+    escapes = [f"esc_{e.app.applicant}_{e.app.target[0]}_{e.app.target[1]}"
+               for e in pairs]
+    for e, esc in zip(pairs, escapes):
+        model.add_var(esc, 0, 1, role="escape",
+                      key=(e.app.applicant, e.app.target))
+    _add_applicant_feasible(model, inst, nm)
+    _add_college_feasible(model, inst, nm)
+    _add_limit_link(model, inst, nm,
+                    [e for e in nm.entries if not e.app.is_paired])
     top = inst.max_score + 1
-    pairs = [a for a in inst.applications if a.is_paired]
-    for app in pairs:
-        j, _k = app.target
+    for e in pairs:
+        j, _k = e.app.target
         model.add_constraint(
-            "pair_score_college_first", _entry_subject(inst, app),
-            {f"t_{j}": 1, _xname(app): top}, "<=", top + app.score_at(j))
-    for app in pairs:
-        _j, k = app.target
+            "pair_score_college_first", e.subject,
+            {nm.limit[j]: 1, e.x: top}, "<=", top + e.app.score_at(j))
+    for e in pairs:
+        _j, k = e.app.target
         model.add_constraint(
-            "pair_score_college_second", _entry_subject(inst, app),
-            {f"t_{k}": 1, _xname(app): top}, "<=", top + app.score_at(k))
-    for app in pairs:
-        j, k = app.target
-        esc = f"esc_{app.applicant}_{j}_{k}"
-        better = {_xname(o): top for o in inst.by_applicant[app.applicant]
-                  if o.rank <= app.rank}
+            "pair_score_college_second", e.subject,
+            {nm.limit[k]: 1, e.x: top}, "<=", top + e.app.score_at(k))
+    for e, esc in zip(pairs, escapes):
+        j, _k = e.app.target
+        better = dict.fromkeys(nm.better(e), top)
         model.add_constraint(
-            "pair_reject_first", _entry_subject(inst, app),
-            {f"t_{j}": 1, **better, esc: top}, ">=", app.score_at(j) + 1)
-    for app in pairs:
-        j, k = app.target
-        esc = f"esc_{app.applicant}_{j}_{k}"
-        better = {_xname(o): top for o in inst.by_applicant[app.applicant]
-                  if o.rank <= app.rank}
+            "pair_reject_first", e.subject,
+            {nm.limit[j]: 1, **better, esc: top}, ">=", e.app.score_at(j) + 1)
+    for e, esc in zip(pairs, escapes):
+        _j, k = e.app.target
+        better = dict.fromkeys(nm.better(e), top)
         model.add_constraint(
-            "pair_reject_second", _entry_subject(inst, app),
-            {f"t_{k}": 1, **better, esc: -top}, ">=", app.score_at(k) + 1 - top)
-    _add_filled_flags(model, inst)
+            "pair_reject_second", e.subject,
+            {nm.limit[k]: 1, **better, esc: -top}, ">=",
+            e.app.score_at(k) + 1 - top)
+    _add_filled_flags(model, inst, nm)
     return model
 
 
-def _paired_reduction_pools(inst: Instance) -> tuple[
+def _paired_reduction_pools(inst: Instance, nm: _Names) -> tuple[
         list[_SeatPool], Callable[[Application], list[tuple[int, int]]]]:
     touched = sorted({j for a in inst.applications if a.is_paired
                       for j in a.colleges()})
-    pools = _college_pools(inst)
+    pools = _college_pools(inst, nm)
     union_index: dict[int, int] = {}
     for j in touched:
         label = f"all({inst.colleges[j].id})"
@@ -503,7 +529,7 @@ def _paired_reduction_pools(inst: Instance) -> tuple[
         pools.append(_SeatPool(
             "common_feasible", label, f"u{j}", f"tuni_{j}", f"funi_{j}",
             "set_limit", "set_filled", label, inst.colleges[j].upper,
-            tuple(_xname(a) for a in inst.seats_at[j])))
+            tuple(e.x for e in nm.at[j])))
 
     def containing(app: Application) -> list[tuple[int, int]]:
         if app.is_paired:
@@ -530,10 +556,11 @@ def build_paired_via_common(inst: Instance) -> LinearModel:
     """
     _require("build_paired_via_common", inst, pairs=True)
     model = LinearModel(name="paired_via_common")
-    _add_assignment(model, inst)
-    _add_applicant_feasible(model, inst)
-    pools, containing = _paired_reduction_pools(inst)
-    _emit_common_rows(model, inst, pools, containing)
+    nm = _Names(inst)
+    _add_assignment(model, nm)
+    _add_applicant_feasible(model, inst, nm)
+    pools, containing = _paired_reduction_pools(inst, nm)
+    _emit_common_rows(model, inst, nm, pools, containing)
     return model
 
 
@@ -566,33 +593,34 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
         _refuse("build_combined", "incoherent policy: lower and common quotas "
                 "together require drop_with_lex_objective")
     model = LinearModel(name="combined")
-    _add_assignment(model, inst)
+    nm = _Names(inst)
+    _add_assignment(model, nm)
     if lower:
         _add_open_vars(model, inst)
-    _add_applicant_feasible(model, inst)
+    _add_applicant_feasible(model, inst, nm)
     if lower:
-        _add_lower_feasible(model, inst)
+        _add_lower_feasible(model, inst, nm)
         if inst.lower_quota_groups:
-            _add_group_rows(model, inst)
+            _add_group_rows(model, inst, nm)
     if ties or common:
         if not lower and not common:
-            _add_college_feasible(model, inst)
+            _add_college_feasible(model, inst, nm)
         if common:
-            pools, containing = _common_pools(inst)
-            _emit_common_rows(model, inst, pools, containing,
+            pools, containing = _common_pools(inst, nm)
+            _emit_common_rows(model, inst, nm, pools, containing,
                               open_relaxed=lower, with_flags=not ties)
         else:
-            _add_limit_vars(model, inst)
-            _add_limit_link(model, inst, inst.applications, open_relaxed=lower)
+            _add_limit_vars(model, inst, nm)
+            _add_limit_link(model, inst, nm, nm.entries, open_relaxed=lower)
             if group_stability == "enforce":
-                _add_witness_closure(model, inst)
+                _add_witness_closure(model, inst, nm)
     elif lower:
-        _add_pairwise_stable(model, inst, open_relaxed=True)
+        _add_pairwise_stable(model, inst, nm, open_relaxed=True)
     else:
-        _add_college_feasible(model, inst)
-        _add_pairwise_stable(model, inst)
+        _add_college_feasible(model, inst, nm)
+        _add_pairwise_stable(model, inst, nm)
     if lower and group_stability == "enforce" and not inst.lower_quota_groups:
-        _add_lower_stable_closed(model, inst)
+        _add_lower_stable_closed(model, inst, nm)
     if group_stability == "drop_with_lex_objective":
         add_named_objective(inst, model, "lex_matched_then_limits")
     elif ties:

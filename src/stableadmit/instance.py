@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Union
 
 Target = Union[int, tuple[int, int]]
@@ -138,14 +139,8 @@ class Instance:
     @cached_property
     def has_ties(self) -> bool:
         """True if two applicants share a score at some college."""
-        for j in range(self.m):
-            seen = set()
-            for i in self.applicants_at[j]:
-                s = self.score_of(i, j)
-                if s in seen:
-                    return True
-                seen.add(s)
-        return False
+        table = self.score_table
+        return len({(j, s) for (_i, j), s in table.items()}) < len(table)
 
     @cached_property
     def has_pairs(self) -> bool:
@@ -339,12 +334,19 @@ def from_document(doc: dict) -> Instance:
         raw_list = entry.get("list")
         if type(raw_list) is not list:
             raw_list = _get(entry, "list", f"applicants[{ai}]", list)
+        # this applicant's entries, sorted by rank below if listed out of order
+        own: list[Application] = []
+        shuffled = False
+        last_rank = float("-inf")
         for ei, raw in enumerate(raw_list):
             if not isinstance(raw, dict):
                 _expect(False, _entry_path(ai, ei), "expected an object")
             rank = raw.get("rank")
             if type(rank) is not int:
                 rank = _get(raw, "rank", _entry_path(ai, ei), int)
+            if rank < last_rank:
+                shuffled = True
+            last_rank = rank
             has_college = "college" in raw
             if has_college == ("pair" in raw):
                 _expect(False, _entry_path(ai, ei),
@@ -363,7 +365,7 @@ def from_document(doc: dict) -> Instance:
                 score = raw.get("score")
                 if type(score) is not int:
                     score = _get(raw, "score", _entry_path(ai, ei), int)
-                applications.append(Application(ai, rank, j, score))
+                own.append(Application(ai, rank, j, score))
             else:
                 for key in raw:
                     if key not in {"rank", "pair", "scores"}:
@@ -389,8 +391,11 @@ def from_document(doc: dict) -> Instance:
                     if type(s) is not int:
                         _expect(isinstance(s, int) and not isinstance(s, bool),
                                 f"{_entry_path(ai, ei)}.scores[{si}]", "expected int")
-                applications.append(Application(
+                own.append(Application(
                     ai, rank, (ids[pair[0]], ids[pair[1]]), (scores[0], scores[1])))
+        if shuffled:
+            own.sort(key=attrgetter("rank"))
+        applications.extend(own)
     raw_sets = _get(doc, "common_quotas", "$", list, required=False, default=[])
     quota_sets = []
     for si, entry in enumerate(raw_sets):
@@ -419,7 +424,6 @@ def from_document(doc: dict) -> Instance:
             _expect(cid in ids, f"{path}.members[{mi}]", f"unknown college id {cid!r}")
         lower = _get(entry, "lower", path, int)
         groups.append(LowerGroup(gid, tuple(ids[c] for c in members), lower))
-    applications.sort(key=lambda a: (a.applicant, a.rank))
     inst = Instance(
         max_score=max_score,
         applicants=tuple(applicants),

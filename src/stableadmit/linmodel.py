@@ -5,22 +5,24 @@ ordered list of objectives (more than one means lexicographic intent).
 Constraints carry a tag (the rule family) plus a subject (which applicant,
 college, set, or group the row is about), so a violated row can be reported
 as e.g. college_feasible(c1).
+
+Variables, constraints and objectives are NamedTuple records, cheap to
+create in the numbers a builder emits. Every row and objective is checked
+as it is added: each term must name a known variable with an integer
+coefficient, in one pass over the terms.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+from typing import NamedTuple
 
 
 class ModelError(ValueError):
     """Malformed model, variable, or assignment."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     lo: int
     hi: int
@@ -29,8 +31,7 @@ class Variable:
     key: object = None    # role-specific payload, e.g. (applicant, college)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     tag: str
     subject: str
     coeffs: tuple[tuple[str, int], ...]
@@ -42,8 +43,7 @@ class Constraint:
         return f"{self.tag}({self.subject})" if self.subject else self.tag
 
 
-@dataclass(frozen=True)
-class Objective:
+class Objective(NamedTuple):
     sense: str            # "min" | "max"
     coeffs: tuple[tuple[str, int], ...]
     name: str = ""
@@ -58,7 +58,8 @@ class LinearModel:
 
     def add_var(self, name: str, lo: int, hi: int,
                 role: str = "aux", key: object = None) -> str:
-        if not _NAME_RE.match(name):
+        if not (isinstance(name, str) and name.isascii()
+                and name.isidentifier()):
             raise ModelError(f"bad variable name {name!r}")
         if name in self.variables:
             raise ModelError(f"duplicate variable {name!r}")
@@ -69,10 +70,11 @@ class LinearModel:
 
     def _check_coeffs(self, coeffs) -> tuple[tuple[str, int], ...]:
         items = tuple(coeffs.items()) if isinstance(coeffs, dict) else tuple(coeffs)
+        variables = self.variables
         for var, coef in items:
-            if var not in self.variables:
+            if var not in variables:
                 raise ModelError(f"unknown variable {var!r}")
-            if not isinstance(coef, int):
+            if type(coef) is not int and not isinstance(coef, int):
                 raise ModelError(f"non-integer coefficient for {var!r}")
         return items
 

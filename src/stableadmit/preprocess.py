@@ -16,7 +16,7 @@ they are executed in college order so results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algorithms import AlgorithmError, da
 from .instance import Instance
@@ -113,7 +113,7 @@ def apply_fixings(model: LinearModel, fixing: FixingResult) -> LinearModel:
         if var is None:
             raise ModelError(f"model has no open variable for college index {j}")
         if j in fixing.must_open:
-            model.variables[var.name] = replace(var, lo=1)
+            model.variables[var.name] = var._replace(lo=1)
         else:
-            model.variables[var.name] = replace(var, hi=0)
+            model.variables[var.name] = var._replace(hi=0)
     return model

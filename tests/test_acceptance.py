@@ -15,8 +15,8 @@ from stableadmit import (GenConfig, Solution, build_classical, build_common,
                          build_lower, build_paired, build_paired_via_common,
                          build_scorelimits, check, da, enumerate_feasible,
                          enumerate_stable, extract_solution, fix_iterate,
-                         generate, gs_scorelimits, lower_quota_heuristic,
-                         solve)
+                         generate, gs_scorelimits, instance_digest,
+                         lower_quota_heuristic, solve)
 from test_solver import naive_points, random_model
 
 CHECKER_APPLICATION_CAP = 16
@@ -82,8 +82,8 @@ def test_criterion_1_strict_cutoff_model_equals_classical_stable_set():
         got = model_matchings(build_scorelimits(inst, mode="strict"))
         want = matchings_of(enumerate_stable(inst, "classical").solutions)
         elapsed = time.perf_counter() - started
-        assert got == want, inst.digest()
-        assert elapsed < PER_INSTANCE_BUDGET, inst.digest()
+        assert got == want, instance_digest(inst)
+        assert elapsed < PER_INSTANCE_BUDGET, instance_digest(inst)
         worst = max(worst, elapsed)
     print(f"\ncriterion 1: PASS  300 strict markets, cutoff-model matchings "
           f"= stable matchings, worst instance {worst:.3f}s")
@@ -97,15 +97,15 @@ def test_criterion_2_min_cutoff_optimum_matches_gs_and_pointwise_min():
     for inst in instances:
         model = build_scorelimits(inst, mode="ties_min")
         res = solve(model)
-        assert res.status == "optimal", inst.digest()
+        assert res.status == "optimal", instance_digest(inst)
         sol = extract_solution(model, res.assignment)
         ip_vec = tuple(sol.score_limits[j] for j in range(inst.m))
         _, gs = gs_scorelimits(inst, side="applicant")
         gs_vec = tuple(gs.limits[j] for j in range(inst.m))
         vectors = oracle_limit_vectors(inst)
-        assert vectors, inst.digest()
+        assert vectors, instance_digest(inst)
         low = tuple(min(v[j] for v in vectors) for j in range(inst.m))
-        assert ip_vec == gs_vec == low, inst.digest()
+        assert ip_vec == gs_vec == low, instance_digest(inst)
     print("\ncriterion 2: PASS  300 tied markets, minimized cutoffs = "
           "proposal algorithm = pointwise minimum")
 
@@ -117,7 +117,7 @@ def test_criterion_3_full_cutoff_model_enumerates_every_stable_vector():
     for inst in instances:
         got = limit_vectors_of_model(
             build_scorelimits(inst, mode="ties_full"), inst.m)
-        assert got == oracle_limit_vectors(inst), inst.digest()
+        assert got == oracle_limit_vectors(inst), instance_digest(inst)
     print("\ncriterion 3: PASS  200 markets, full cutoff model = exhaustive "
           "stable cutoff sets")
 
@@ -141,8 +141,8 @@ def test_criterion_4_lower_quota_model_equals_stable_set():
     for inst in instances:
         got = model_matchings(build_lower(inst))
         want = matchings_of(enumerate_stable(inst, "lower").solutions)
-        assert bool(got) == bool(want), inst.digest()
-        assert got == want, inst.digest()
+        assert bool(got) == bool(want), instance_digest(inst)
+        assert got == want, instance_digest(inst)
         feasible += bool(got)
     assert 0 < feasible < 300  # both directions of the equivalence appear
 
@@ -173,14 +173,14 @@ def test_criterion_5_common_quota_model_equals_stable_set():
     for inst in instances:
         got = model_matchings(build_common(inst))
         want = matchings_of(enumerate_stable(inst, "common").solutions)
-        assert got == want, inst.digest()
+        assert got == want, instance_digest(inst)
 
     nested = seeded_instances(200, lambda s: GenConfig(
         n=2 + s % 4, m=2 + s % 2, seed=5500 + s, list_range=(1, 2),
         max_score=2 + s % 4, topology="nested", set_count=2),
         accept=lambda inst: bool(inst.common_quota_sets))
     for inst in nested:
-        assert solve(build_common(inst)).status != "infeasible", inst.digest()
+        assert solve(build_common(inst)).status != "infeasible", instance_digest(inst)
 
     assert solve(build_common(load("I6"))).status == "infeasible"
     print("\ncriterion 5: PASS  300 common-quota markets match the stable "
@@ -199,7 +199,7 @@ def test_criterion_6_paired_model_and_reduction_equal_stable_set():
         explicit = model_matchings(build_paired(inst))
         reduced = model_matchings(build_paired_via_common(inst))
         want = matchings_of(enumerate_stable(inst, "paired").solutions)
-        assert explicit == reduced == want, inst.digest()
+        assert explicit == reduced == want, instance_digest(inst)
     assert solve(build_paired(load("I7"))).status == "infeasible"
     print("\ncriterion 6: PASS  200 paired markets, explicit model = "
           "set-quota reduction = stable set")
@@ -215,7 +215,7 @@ def test_criterion_7_proposal_extremes_and_intake_invariance():
     instances = seeded_instances(500, config)
     for inst in instances:
         matchings = model_matchings(build_classical(inst))
-        assert matchings, inst.digest()
+        assert matchings, instance_digest(inst)
         sums = [rank_sum(inst, dict(matching)) for matching in matchings]
         applicant_side = da(inst, side="applicant")
         college_side = da(inst, side="college")
@@ -223,7 +223,7 @@ def test_criterion_7_proposal_extremes_and_intake_invariance():
         assert max(sums) == rank_sum(inst, college_side.assignment)
         matched_sets = {frozenset(i for i, t in matching if t is not None)
                         for matching in matchings}
-        assert len(matched_sets) == 1, inst.digest()
+        assert len(matched_sets) == 1, instance_digest(inst)
         intakes = set()
         for matching in matchings:
             tally = [0] * inst.m
@@ -231,7 +231,7 @@ def test_criterion_7_proposal_extremes_and_intake_invariance():
                 if target is not None:
                     tally[target] += 1
             intakes.add(tuple(tally))
-        assert len(intakes) == 1, inst.digest()
+        assert len(intakes) == 1, instance_digest(inst)
     print("\ncriterion 7: PASS  500 markets, proposal sides bracket the "
           "rank sums and intakes are matching-independent")
 
@@ -251,8 +251,8 @@ def test_criterion_8_fixing_soundness_and_removal_monotonicity():
             flags = sol.open_colleges or {
                 j: not (intake[j] == 0 and inst.colleges[j].lower > 0)
                 for j in range(inst.m)}
-            assert all(flags[j] for j in fixing.must_open), inst.digest()
-            assert not any(flags[j] for j in fixing.must_close), inst.digest()
+            assert all(flags[j] for j in fixing.must_open), instance_digest(inst)
+            assert not any(flags[j] for j in fixing.must_close), instance_digest(inst)
 
     trials = 0
     step = 0
@@ -269,13 +269,13 @@ def test_criterion_8_fixing_soundness_and_removal_monotonicity():
         small_intake = smaller.intake(inst)
         for j in range(inst.m):
             if j != removed:
-                assert small_intake[j] >= base_intake[j], inst.digest()
+                assert small_intake[j] >= base_intake[j], instance_digest(inst)
         for i in range(inst.n):
             before = base.rank_of(inst, i)
             after = smaller.rank_of(inst, i)
             worst = math.inf
             assert (after if after is not None else worst) \
-                >= (before if before is not None else worst), inst.digest()
+                >= (before if before is not None else worst), instance_digest(inst)
         trials += 1
     print("\ncriterion 8: PASS  fixing rules kept every stable outcome on "
           "200 markets; 500 college-removal trials stayed monotone")

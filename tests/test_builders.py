@@ -9,11 +9,12 @@ import pytest
 
 from conftest import (BUILDS, FIXTURE_DIR, load, matchings_of, t_projection,
                       x_projection)
-from stableadmit import (Instance, LowerGroup, ModelError, build_classical,
-                         build_combined, build_common, build_lower,
-                         build_paired, build_paired_via_common,
+from stableadmit import (GenConfig, Instance, LowerGroup, ModelError,
+                         build_classical, build_combined, build_common,
+                         build_lower, build_paired, build_paired_via_common,
                          build_scorelimits, check, enumerate_feasible,
-                         enumerate_stable, extract_solution, solve, solve_lex)
+                         enumerate_stable, extract_solution, generate, solve,
+                         solve_lex)
 
 
 def assign_names(model):
@@ -359,3 +360,53 @@ def test_builder_searches_are_pinned(label):
             res = solve(build(make()))
             assert [res.status, res.nodes, res.objective_values] \
                 == SEARCH_PINS[key], key
+
+
+# Formulation pins on generated markets shaped like the benchmark rungs,
+# so row emission is also pinned where colleges hold many applicants.
+GEN_PIN_MARKETS = {
+    "strict": dict(n=200, m=15, list_range=(1, 4), max_score=400,
+                   upper_range=(1, 20)),
+    "ties": dict(n=50, m=10, list_range=(1, 4), max_score=100,
+                 tie_density=0.3, upper_range=(1, 5)),
+    "lower_tight": dict(n=200, m=20, list_range=(1, 4), max_score=400,
+                        upper_range=(10, 30), lower_range=(10, 30)),
+    "paired": dict(n=200, m=15, list_range=(1, 4), max_score=400,
+                   upper_range=(1, 20), pair_prob=0.2),
+    "nested": dict(n=100, m=10, list_range=(1, 4), max_score=200,
+                   upper_range=(1, 10), topology="nested", set_count=3),
+}
+GEN_PIN_SEEDS = range(5)
+
+
+def generated_digests(markets=tuple(GEN_PIN_MARKETS)):
+    """model_digest of every BUILDS label on the generated pin markets,
+    keyed "market seed label"; None where the builder refuses it."""
+    out = {}
+    for market in markets:
+        for seed in GEN_PIN_SEEDS:
+            inst = generate(GenConfig(seed=seed, **GEN_PIN_MARKETS[market]))
+            for label, build in sorted(BUILDS.items()):
+                try:
+                    digest = model_digest(build(inst))
+                except ModelError:
+                    digest = None
+                out[f"{market} {seed} {label}"] = digest
+    return out
+
+
+GEN_PINS = json.loads((Path(__file__).parent / "generated_builder_pins.json")
+                      .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("market", sorted(GEN_PIN_MARKETS))
+def test_builder_formulations_on_generated_markets_are_pinned(market):
+    """Captured once with
+
+      PYTHONPATH=src:tests python -c "import json, test_builders as t; \\
+        print(json.dumps(t.generated_digests(), indent=1, sort_keys=True))" \\
+        > tests/generated_builder_pins.json
+    """
+    want = {key: digest for key, digest in GEN_PINS.items()
+            if key.split()[0] == market}
+    assert generated_digests([market]) == want

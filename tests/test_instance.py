@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -309,3 +310,47 @@ def test_generated_and_parsed_applications_are_equal():
         assert parsed.applications == inst.applications
         assert [a.is_paired for a in parsed.applications] \
             == [a.is_paired for a in inst.applications]
+
+
+def test_shuffled_ranks_parse_to_rank_order():
+    # from_document used to end with a stable sort of all applications by
+    # (applicant, rank); ordering each applicant's entries must agree
+    for seed in range(30):
+        inst = generate(GenConfig(n=12, m=4, seed=seed, list_range=(1, 4),
+                                  max_score=30, pair_prob=0.3))
+        doc = to_document(inst)
+        shuffled = copy.deepcopy(doc)
+        rng = random.Random(seed)
+        for entry in shuffled["applicants"]:
+            rng.shuffle(entry["list"])
+        in_doc_order = [(ai, e["rank"]) for ai, entry in
+                        enumerate(shuffled["applicants"]) for e in entry["list"]]
+        parsed = from_document(shuffled)
+        assert parsed.applications == from_document(doc).applications \
+            == inst.applications
+        assert [(a.applicant, a.rank) for a in parsed.applications] \
+            == sorted(in_doc_order)
+
+
+def ties_by_scan(inst):
+    """has_ties as first defined: one score_of call per (college, applicant)."""
+    for j in range(inst.m):
+        seen = set()
+        for i in inst.applicants_at[j]:
+            s = inst.score_of(i, j)
+            if s in seen:
+                return True
+            seen.add(s)
+    return False
+
+
+def test_has_ties_matches_the_per_college_scan():
+    seen = set()
+    for seed in range(120):
+        for tie_density in (0.0, 0.3):
+            inst = generate(GenConfig(n=10, m=3, seed=seed, list_range=(1, 3),
+                                      max_score=12, tie_density=tie_density,
+                                      pair_prob=0.2))
+            assert inst.has_ties == ties_by_scan(inst), (seed, tie_density)
+            seen.add(inst.has_ties)
+    assert seen == {True, False}

@@ -1,5 +1,7 @@
 """Model container rules and the independent assignment checker."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,61 @@ def test_variable_rules():
         model.add_var("2bad", 0, 1)
     with pytest.raises(ModelError, match="bad bounds"):
         model.add_var("y", 2, 1)
+
+
+@pytest.mark.parametrize("name", ["x_1\n", "", "2bad", "a-b", "a b", "x\u00e9", 7])
+def test_bad_variable_names_are_refused(name):
+    # a trailing newline once passed the name pattern through its $ anchor
+    with pytest.raises(ModelError, match=re.escape(f"bad variable name {name!r}")):
+        LinearModel().add_var(name, 0, 1)
+
+
+def test_model_error_messages():
+    model = small_model()
+    cases = [
+        (lambda: model.add_var("y", 0, 1.5), "bad bounds [0, 1.5] for 'y'"),
+        (lambda: model.add_var("y", 2, 1), "bad bounds [2, 1] for 'y'"),
+        (lambda: model.add_var("x", 0, 1), "duplicate variable 'x'"),
+        (lambda: model.add_constraint("cap", "c1", {"zz": 1}, "<=", 1),
+         "unknown variable 'zz'"),
+        (lambda: model.add_constraint("cap", "c1", [("x", 1), ("t", 0.5)], "<=", 1),
+         "non-integer coefficient for 't'"),
+        (lambda: model.add_constraint("cap", "c1", {"x": 1}, "=", 1),
+         "bad sense '='"),
+        (lambda: model.add_constraint("cap", "c1", {"x": 1}, "<=", 1.0),
+         "right-hand side must be an integer"),
+        (lambda: model.add_objective("up", {"t": 1}), "bad objective sense 'up'"),
+        (lambda: model.add_objective("min", {"t": 1, "zz": 1}),
+         "unknown variable 'zz'"),
+        (lambda: model.add_objective("min", {"t": "1"}),
+         "non-integer coefficient for 't'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ModelError) as info:
+            call()
+        assert str(info.value) == message
+    assert len(model.constraints) == 2 and not model.objectives
+
+
+def test_integer_subclass_coefficients_are_accepted():
+    class Count(int):
+        pass
+
+    model = small_model()
+    con = model.add_constraint("cap", "c1", {"x": True, "t": Count(2)}, "<=", 1)
+    assert con.coeffs == (("x", True), ("t", 2))
+    obj = model.add_objective("max", [("x", Count(3))])
+    assert obj.coeffs == (("x", 3),) and obj.name == ""
+
+
+def test_records_are_named_tuples():
+    model = small_model()
+    var = model.variables["t"]
+    assert repr(var) == "Variable(name='t', lo=0, hi=6, role='limit', key=0)"
+    assert var._replace(hi=0) == ("t", 0, 0, "limit", 0)
+    assert repr(model.constraints[0]) == \
+        "Constraint(tag='cap', subject='c1', coeffs=(('x', 1),), sense='<=', rhs=1)"
+    assert model.constraints[1].name == "link(a1,c1)"
 
 
 def test_constraint_rules():
