@@ -9,7 +9,7 @@ result against an independent combinatorial stability oracle.
 from .algorithms import (AlgorithmError, ClosureEvent, Matching, ScoreLimits,
                          da, gs_scorelimits, induced_matching,
                          lower_quota_heuristic)
-from .builders import (GROUP_POLICIES, OBJECTIVES, SCORELIMIT_MODES,
+from .builders import (GROUP_POLICIES, SCORELIMIT_MODES,
                        build_classical, build_combined, build_common,
                        build_lower, build_paired, build_paired_via_common,
                        build_scorelimits, decode_solution, extract_solution,
@@ -25,7 +25,7 @@ from .oracle import (EnumerationResult, ShapeError, SizeGuardError,
                      StabilityReport, Violation, VARIANTS, check,
                      enumerate_stable)
 from .preprocess import FixingResult, apply_fixings, fix_iterate, must_close, must_open
-from .solution import (Solution, empty_matching, parse_solution,
+from .solution import (Solution, empty_matching,
                        serialize_solution, solution_from_document,
                        solution_to_document)
 from .solver import (EnumerateResult, SolveResult, SolverError,
@@ -38,7 +38,7 @@ __all__ = [
     "Constraint", "EnumerateResult", "EnumerationResult", "FixingResult",
     "GROUP_POLICIES", "GenConfig", "Instance", "InstanceError",
     "InvariantError", "LinearModel", "LowerGroup", "Matching", "ModelError",
-    "OBJECTIVES", "Objective", "QuotaSet", "SCORELIMIT_MODES", "SchemaError",
+    "Objective", "QuotaSet", "SCORELIMIT_MODES", "SchemaError",
     "ScoreLimits", "ShapeError", "SizeGuardError", "SolveResult", "Solution",
     "SolverError", "StabilityReport", "VARIANTS", "Variable", "Violation",
     "apply_fixings", "assignment_satisfies", "build_classical",
@@ -48,7 +48,7 @@ __all__ = [
     "enumerate_stable", "extract_solution", "fix_iterate", "from_document", "generate",
     "gs_scorelimits", "induced_matching", "instance_digest", "is_nested",
     "lower_quota_heuristic", "must_close", "must_open", "parse_instance",
-    "parse_solution", "rank_objective", "serialize_instance",
+    "rank_objective", "serialize_instance",
     "serialize_solution", "solution_from_document", "solution_to_document",
     "solve", "solve_lex", "to_document",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from heapq import heappop, heappush
 from math import inf
 
@@ -220,19 +221,9 @@ def lower_quota_heuristic(inst: Instance) -> tuple[Matching, set[int], list[Clos
                      if j not in closed and inst.colleges[j].lower > intake[j]]
         if not violators:
             return matching, closed, trace
-        # smallest admitted/lower ratio, exact comparison by cross multiplication
-        def _ratio_less(a: int, b: int) -> bool:
-            la, lb = inst.colleges[a].lower, inst.colleges[b].lower
-            if intake[a] * lb != intake[b] * la:
-                return intake[a] * lb < intake[b] * la
-            if intake[a] != intake[b]:
-                return intake[a] < intake[b]
-            return a < b
-
-        choice = violators[0]
-        for j in violators[1:]:
-            if _ratio_less(j, choice):
-                choice = j
+        # smallest admitted/lower ratio, then fewest admitted, then lowest index
+        choice = min(violators, key=lambda j: (
+            Fraction(intake[j], inst.colleges[j].lower), intake[j], j))
         lowest = [inf] * inst.m
         for i, j in matching.assignment.items():
             if j is not None:

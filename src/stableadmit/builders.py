@@ -32,7 +32,6 @@ from .instance import Application, Instance
 from .linmodel import LinearModel, ModelError, assignment_satisfies
 from .solution import Solution
 
-OBJECTIVES = ("none", "applicant_optimal", "applicant_pessimal")
 SCORELIMIT_MODES = ("strict", "ties_min", "ties_full")
 GROUP_POLICIES = ("enforce", "drop_with_lex_objective")
 
@@ -278,17 +277,13 @@ def _add_lower_stable_closed(model: LinearModel, inst: Instance,
                              c.lower - 1 - len(inst.applicants_at[j]))
 
 
-def build_classical(inst: Instance, ties: bool = False,
-                    objective: str = "none") -> LinearModel:
+def build_classical(inst: Instance, ties: bool = False) -> LinearModel:
     """Stable matchings over assignment variables alone.
 
     With ties=True the stability rows accept equal-score filling, which
-    characterises weakly stable matchings. The optional objective
-    scores matched applicants by rank: applicant_optimal minimises the
-    total rank, applicant_pessimal maximises it.
+    characterises weakly stable matchings. add_named_objective scores
+    matched applicants by rank on top of it.
     """
-    if objective not in OBJECTIVES:
-        _refuse("build_classical", f"unknown objective {objective!r}")
     _require("build_classical", inst, ties=ties)
     model = LinearModel(name="classical")
     nm = _Names(inst)
@@ -296,8 +291,6 @@ def build_classical(inst: Instance, ties: bool = False,
     _add_applicant_feasible(model, inst, nm)
     _add_college_feasible(model, inst, nm)
     _add_pairwise_stable(model, inst, nm, ties=ties)
-    if objective != "none":
-        add_named_objective(inst, model, objective)
     return model
 
 

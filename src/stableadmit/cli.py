@@ -11,7 +11,9 @@ when the solver and the stability oracle disagree about a result.
 Every successful solve is re-audited through the stability oracle; the
 verdict printed in a report always comes from the oracle, never from
 the solver alone. Model mixes without an oracle variant get a
-feasibility-only audit and the verdict "unverified".
+feasibility-only audit and the verdict "unverified". check passes a
+score-limit solution file without a matching section to the oracle as
+it is; the oracle reads the matching off the limits.
 
 `main` builds its argument parser on first use and reuses it for every
 later call in the process.
@@ -25,6 +27,7 @@ import sys
 import time
 from functools import cache
 
+# induced_matching stays imported because the traced benchmark patches it here
 from .algorithms import AlgorithmError, induced_matching, lower_quota_heuristic
 from .builders import (add_named_objective, build_classical, build_combined,
                        build_common, build_lower, build_paired,
@@ -330,17 +333,13 @@ def _cmd_solve(args, argv: list[str]) -> int:
         fixing = fix_iterate(inst)
         apply_fixings(model, fixing)
         preprocess_report = fixing.to_report(inst)
-    started = time.monotonic()
     runner = solve_lex if len(model.objectives) > 1 else solve
     res = runner(model, node_cap=args.node_cap, time_cap=args.time_cap)
-    elapsed = time.monotonic() - started
-    if res.status == "infeasible":
-        _emit(_solve_report(argv, inst, label, res.status, None,
-                            [], None, [], preprocess_report, elapsed, res.nodes))
-        return 2
-    if res.status == "limit_reached":
-        _emit(_solve_report(argv, inst, label, res.status, None,
-                            [], None, [], preprocess_report, elapsed, res.nodes))
+    if res.assignment is None:
+        _emit(_solve_report(argv, inst, label, res.status, None, [], None, [],
+                            preprocess_report, res.elapsed, res.nodes))
+        if res.status == "infeasible":
+            return 2
         print("error: search hit its cap before finding a solution",
               file=sys.stderr)
         return 1
@@ -357,7 +356,7 @@ def _cmd_solve(args, argv: list[str]) -> int:
         detail = "; ".join(v.detail for v in violations)
     _emit(_solve_report(argv, inst, label, res.status, sol,
                         res.objective_values, verdict, violations,
-                        preprocess_report, elapsed, res.nodes))
+                        preprocess_report, res.elapsed, res.nodes))
     if disagree:
         print(f"error: solver result fails the oracle audit: {detail}",
               file=sys.stderr)
@@ -397,20 +396,15 @@ def _cmd_check(args, argv: list[str]) -> int:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {args.solution}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{args.solution}: invalid JSON: {exc}") from None
-    # a paired market keeps the empty matching, so that check refuses it
-    # with the variant's own shape message
-    if variant == "scorelimits_H" and isinstance(doc, dict) \
-            and "matching" not in doc and not inst.has_pairs:
-        sol = solution_from_document(inst, doc)
-        if len(sol.score_limits) != inst.m:
-            raise UsageError("deriving a matching needs a score limit "
-                             "for every college")
-        limits = [sol.score_limits[j] for j in range(inst.m)]
-        sol.matching = induced_matching(inst, limits).assignment
-    else:
-        sol = solution_from_document(inst, doc)
+    sol = solution_from_document(inst, doc)
+    # the oracle reads a missing matching off the limits; a paired market
+    # goes on to the variant's own shape refusal
+    if variant == "scorelimits_H" and "matching" not in doc \
+            and not inst.has_pairs and len(sol.score_limits) != inst.m:
+        raise UsageError("deriving a matching needs a score limit "
+                         "for every college")
     report = check(inst, sol, variant)
     _emit({
         "command": "stableadmit " + " ".join(argv),
@@ -425,14 +419,11 @@ def _cmd_check(args, argv: list[str]) -> int:
 def _cmd_compare(args, argv: list[str]) -> int:
     inst = _load_instance(args.instance)
     matching, closed, events = lower_quota_heuristic(inst)
-    heur_sol = Solution(matching=dict(matching.assignment),
-                        open_colleges={j: j not in closed
-                                       for j in range(inst.m)})
+    heur_sol = matching.to_solution(
+        inst, open_colleges={j: j not in closed for j in range(inst.m)})
     heur_report = check(inst, heur_sol, "lower")
     model = build_lower(inst)
-    started = time.monotonic()
     res = solve(model, node_cap=args.node_cap, time_cap=args.time_cap)
-    elapsed = time.monotonic() - started
     sol, verdict, exit_code = None, None, 0
     if res.status == "infeasible":
         exit_code = 2
@@ -455,7 +446,7 @@ def _cmd_compare(args, argv: list[str]) -> int:
             "verdict": heur_report.verdict,
         },
         "ip": ip,
-        "timing": {"seconds": round(elapsed, 6)},
+        "timing": {"seconds": round(res.elapsed, 6)},
         "solver": {"status": res.status, "nodes": res.nodes},
     })
     if exit_code == 3:
@@ -471,9 +462,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         for flag in ("cap", "node_cap", "time_cap"):
             value = getattr(args, flag, None)
+            name = "--" + flag.replace("_", "-")
             if value is not None and value < 0:
-                raise UsageError(f"--{flag.replace('_', '-')} must not be "
-                                 "negative")
+                raise UsageError(f"{name} must not be negative")
+            if value != value:  # only NaN differs from itself
+                raise UsageError(f"{name} must be a number")
         if args.command == "validate":
             return _cmd_validate(args, argv)
         if args.command == "generate":
@@ -485,11 +478,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args, argv)
         return _cmd_compare(args, argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InstanceError, ConfigError, ModelError, AlgorithmError,
-            ShapeError, SizeGuardError) as exc:
+    except (UsageError, InstanceError, ConfigError, ModelError,
+            AlgorithmError, ShapeError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

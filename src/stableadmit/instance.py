@@ -440,7 +440,7 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance document from JSON text; validates all rules."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     return from_document(doc)
 

@@ -7,7 +7,8 @@ an independent referee for both.
 Variants:
   classical      strict scores, blocking pair = free seat or weaker admit
   weak_ties      ties allowed, blocking needs a strictly weaker admit
-  scorelimits_H  cutoff vectors: feasible and no cutoff can drop by one
+  scorelimits_H  cutoff vectors: feasible and no cutoff can drop by one;
+                 an empty matching is read off the cutoffs
   lower          open/closed colleges, blocking groups at closed ones
   common         quota sets: a rejection needs one full set of better admits
   paired         two-college applications, both-or-neither semantics
@@ -197,14 +198,6 @@ def _induced(inst: Instance, limits: list[int]) -> dict[int, int | None]:
     return assignment
 
 
-def _intake_of(inst: Instance, assignment: dict[int, int | None]) -> list[int]:
-    counts = [0] * inst.m
-    for j in assignment.values():
-        if j is not None:
-            counts[j] += 1
-    return counts
-
-
 def _check_scorelimits(inst: Instance, sol: Solution) -> StabilityReport:
     _require(not inst.has_pairs, "score-limit variant needs simple applications")
     _require(not inst.common_quota_sets, "score-limit variant excludes quota sets")
@@ -215,26 +208,21 @@ def _check_scorelimits(inst: Instance, sol: Solution) -> StabilityReport:
         t = sol.score_limits[j]
         _require(0 <= t <= top, f"score limit for {c.id} outside [0, {top}]")
         limits.append(t)
-    induced = _induced(inst, limits)
+    induced = Solution(matching=_induced(inst, limits))
     if sol.matching:
         claimed = {i: sol.matching.get(i) for i in range(inst.n)}
-        if claimed != induced:
+        if claimed != induced.matching:
             raise ShapeError("matching is not the one the score limits admit")
-    violations = []
-    intake = _intake_of(inst, induced)
-    for j, c in enumerate(inst.colleges):
-        if intake[j] > c.upper:
-            violations.append(Violation("quota_breach", {"college": c.id},
-                                        f"{intake[j]} admitted with {c.upper} seats"))
+    violations = _quota_violations(inst, induced)
     if violations:
         return _verdict(violations)
+    intake = induced.intake(inst)
     for j, c in enumerate(inst.colleges):
         if limits[j] == 0:
             continue
         trial = limits.copy()
         trial[j] -= 1
-        trial_intake = _intake_of(inst, _induced(inst, trial))
-        if trial_intake[j] <= c.upper:
+        if list(_induced(inst, trial).values()).count(j) <= c.upper:
             kind = ("unfilled_positive_limit" if intake[j] < c.upper
                     else "reducible_score_limit")
             violations.append(Violation(
@@ -473,16 +461,8 @@ def enumerate_stable(inst: Instance, variant: str, cap: int | None = None) -> En
         raise SizeGuardError(
             f"{len(inst.applications)} applications exceed the enumeration guard "
             f"({MATCHING_GUARD})")
-    if variant == "scorelimits_H":
-        return _enumerate_scorelimits(inst, cap)
-    if variant == "lower" and inst.lower_quota_groups:
-        return _enumerate_lower_grouped(inst, cap)
     solutions: list[Solution] = []
-    allow_pairs = variant == "paired"
-    for assignment in _enumerate_assignments(inst, allow_pairs):
-        matching = empty_matching(inst)
-        matching.update(assignment)
-        sol = Solution(matching=matching)
+    for sol in _candidates(inst, variant):
         if check(inst, sol, variant).verdict == "stable":
             if cap is not None and len(solutions) == cap:
                 return EnumerationResult(solutions, truncated=True)
@@ -490,34 +470,25 @@ def enumerate_stable(inst: Instance, variant: str, cap: int | None = None) -> En
     return EnumerationResult(solutions)
 
 
-def _enumerate_scorelimits(inst: Instance, cap: int | None) -> EnumerationResult:
-    top = inst.max_score + 1
-    if (top + 1) ** inst.m > LIMIT_GUARD:
-        raise SizeGuardError("score-limit space exceeds the enumeration guard")
-    solutions: list[Solution] = []
-    for combo in product(range(top + 1), repeat=inst.m):
-        limits = {j: combo[j] for j in range(inst.m)}
-        induced = _induced(inst, list(combo))
-        sol = Solution(matching=induced, score_limits=limits)
-        if check(inst, sol, "scorelimits_H").verdict == "stable":
-            if cap is not None and len(solutions) == cap:
-                return EnumerationResult(solutions, truncated=True)
-            solutions.append(sol)
-    return EnumerationResult(solutions)
-
-
-def _enumerate_lower_grouped(inst: Instance, cap: int | None) -> EnumerationResult:
-    if 2 ** inst.m > FLAG_GUARD:
+def _candidates(inst: Instance, variant: str):
+    """Every solution the variant's listing tests, in canonical order:
+    cutoff vectors with the matchings they induce for scorelimits_H,
+    each feasible assignment under every open-flag vector for grouped
+    lower quotas, and each feasible assignment otherwise."""
+    if variant == "scorelimits_H":
+        top = inst.max_score + 1
+        if (top + 1) ** inst.m > LIMIT_GUARD:
+            raise SizeGuardError("score-limit space exceeds the enumeration guard")
+        for combo in product(range(top + 1), repeat=inst.m):
+            yield Solution(matching=_induced(inst, list(combo)),
+                           score_limits=dict(enumerate(combo)))
+        return
+    grouped = variant == "lower" and bool(inst.lower_quota_groups)
+    if grouped and 2 ** inst.m > FLAG_GUARD:
         raise SizeGuardError("open-flag space exceeds the enumeration guard")
-    solutions: list[Solution] = []
-    for assignment in _enumerate_assignments(inst, allow_pairs=False):
-        for combo in product((False, True), repeat=inst.m):
+    flag_vectors = list(product((False, True), repeat=inst.m)) if grouped else [()]
+    for assignment in _enumerate_assignments(inst, variant == "paired"):
+        for flags in flag_vectors:
             matching = empty_matching(inst)
             matching.update(assignment)
-            sol = Solution(matching=matching,
-                           open_colleges={j: combo[j] for j in range(inst.m)})
-            if check(inst, sol, "lower").verdict == "stable":
-                if cap is not None and len(solutions) == cap:
-                    return EnumerationResult(solutions, truncated=True)
-                solutions.append(sol)
-    return EnumerationResult(solutions)
+            yield Solution(matching=matching, open_colleges=dict(enumerate(flags)))

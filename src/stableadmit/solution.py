@@ -81,16 +81,17 @@ def serialize_solution(inst: Instance, sol: Solution) -> str:
 def solution_from_document(inst: Instance, doc: object) -> Solution:
     """Parse an id-based solution document against an instance.
 
-    The matching section may be omitted (callers of score-limit variants
-    derive it from the limits); every id must exist in the instance and
-    every named target must be on the applicant's list."""
+    Without a matching section the matching stays empty, which the
+    score-limit check reads off the limits; a null or empty section
+    leaves every applicant unmatched. Every id must exist in the
+    instance and every named target must be on the applicant's list."""
     if not isinstance(doc, dict):
         raise SchemaError("$", "solution document must be an object")
     known = {"matching", "score_limits", "set_limits", "open", "open_groups"}
     for key in doc:
         if key not in known:
             raise SchemaError(f"$.{key}", "unknown solution section")
-    matching = empty_matching(inst)
+    matching = empty_matching(inst) if "matching" in doc else {}
     raw = doc.get("matching")
     if raw is not None:
         if not isinstance(raw, dict):
@@ -143,14 +144,6 @@ def solution_from_document(inst: Instance, doc: object) -> Solution:
     return Solution(matching=matching, score_limits=score_limits,
                     set_limits=set_limits, open_colleges=open_colleges,
                     open_groups=open_groups)
-
-
-def parse_solution(inst: Instance, text: str) -> Solution:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from None
-    return solution_from_document(inst, doc)
 
 
 def _section(doc: dict, key: str) -> dict:

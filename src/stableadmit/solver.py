@@ -15,11 +15,11 @@ solutions are a pure function of the model. Callers pick the mode
 through callbacks, which see a node's lo, hi and act: a leaf callback
 runs where no candidate variable is left unfixed and may end the search,
 and an optional prune callback cuts nodes after propagation. solve
-handles zero or more objectives on one engine: without one its leaf ends
-the search at the first feasible point; otherwise each objective in turn
-is minimised (a max objective through its negation) by an incumbent leaf
-and a bound prune, and its optimum is frozen as two rows before the next
-stage, so the node and time caps span all stages. enumerate_feasible
+minimises each objective in turn on one engine (a max objective through
+its negation; a model without one gets a single constant stage, which
+ends at the first feasible leaf) by an incumbent leaf and a bound prune,
+and freezes each optimum as two rows before the next stage, so the node
+and time caps span all stages. enumerate_feasible
 branches over the projection variables only, and its leaf runs the same
 driver again from the leaf's own bounds and activities to find one
 completion. Every accepted leaf is re-verified against the original
@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .linmodel import LinearModel, ModelError, assignment_satisfies
+from .linmodel import LinearModel, ModelError, Objective, assignment_satisfies
 
 
 class SolverError(RuntimeError):
@@ -306,7 +306,7 @@ def _minimize(eng: _Engine, terms: tuple[tuple[int, int], ...]
         return best_val is not None and sum(
             c * (lo[v] if c > 0 else hi[v]) for v, c in terms) >= best_val
 
-    complete = _root(eng, incumbent, prune)
+    complete = _root(eng, incumbent, prune if terms else None)
     return complete, best, best_val
 
 
@@ -324,15 +324,9 @@ def solve(model: LinearModel, node_cap: int | None = None,
     eng = _Engine(model, node_cap, time_cap)
     best: dict[str, int] | None = None
     values: list[int] = []
-    if not model.objectives:
-
-        def first(lo, hi, act) -> bool:
-            nonlocal best
-            best = eng.leaf_assignment(lo)
-            return True
-
-        complete = _root(eng, first)
-    for obj in model.objectives:
+    # without objectives, one constant stage whose first leaf is optimal;
+    # its value is not reported
+    for obj in model.objectives or [Objective("min", ())]:
         sign = 1 if obj.sense == "min" else -1
         coeffs = [(v, sign * c) for v, c in obj.coeffs]
         terms = tuple((eng.index[v], c) for v, c in coeffs if c != 0)
@@ -348,7 +342,7 @@ def solve(model: LinearModel, node_cap: int | None = None,
         status = "infeasible" if complete else "limit_reached"
     else:
         status = "optimal" if complete and model.objectives else "feasible"
-    return SolveResult(status, best, values, eng.nodes,
+    return SolveResult(status, best, values[:len(model.objectives)], eng.nodes,
                        time.monotonic() - started, eng.row_visits)
 
 

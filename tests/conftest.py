@@ -16,10 +16,11 @@ import itertools
 from functools import partial
 from pathlib import Path
 
-from stableadmit import (Instance, build_classical, build_combined,
-                         build_common, build_lower, build_paired,
-                         build_paired_via_common, build_scorelimits,
-                         parse_instance)
+from stableadmit import (Instance, LowerGroup, build_classical,
+                         build_combined, build_common, build_lower,
+                         build_paired, build_paired_via_common,
+                         build_scorelimits, parse_instance)
+from stableadmit.builders import add_named_objective
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -34,6 +35,20 @@ def fixture_text(name: str) -> str:
 
 def load(name: str) -> Instance:
     return parse_instance(fixture_text(name))
+
+
+def grouped_i4b() -> Instance:
+    """I4B with its only college inside a declared lower-quota group."""
+    base = load("I4B")
+    grouped = Instance(
+        max_score=base.max_score,
+        applicants=base.applicants,
+        colleges=base.colleges,
+        applications=base.applications,
+        lower_quota_groups=(LowerGroup("g1", (0,), 2),),
+    )
+    grouped.validate()
+    return grouped
 
 
 def matchings_of(solutions) -> set[tuple]:
@@ -65,6 +80,16 @@ def t_projection(model, projections) -> set[tuple]:
     return {tuple(proj[v.name] for v in limits) for proj in projections}
 
 
+def classical_with(objective: str):
+    """build_classical plus a named objective, added the way the CLI's
+    --objective adds it."""
+    def build(inst: Instance):
+        model = build_classical(inst)
+        add_named_objective(inst, model, objective)
+        return model
+    return build
+
+
 # Every builder and mode, keyed by a label. test_builders.py pins the
 # formulation each one emits on every fixture (builder_pins.json) and the
 # search that solves it (search_pins.json). Two more pin files sit beside
@@ -75,10 +100,8 @@ def t_projection(model, projections) -> set[tuple]:
 BUILDS = {
     "classical": build_classical,
     "classical:ties": partial(build_classical, ties=True),
-    "classical:applicant_optimal":
-        partial(build_classical, objective="applicant_optimal"),
-    "classical:applicant_pessimal":
-        partial(build_classical, objective="applicant_pessimal"),
+    "classical:applicant_optimal": classical_with("applicant_optimal"),
+    "classical:applicant_pessimal": classical_with("applicant_pessimal"),
     **{f"scorelimits:{mode}": partial(build_scorelimits, mode=mode)
        for mode in ("strict", "ties_min", "ties_full")},
     "lower": build_lower,

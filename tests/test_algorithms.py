@@ -7,8 +7,9 @@ import pytest
 import stableadmit.algorithms
 from conftest import load, matchings_of
 from stableadmit import (AlgorithmError, GenConfig, Solution, check, da,
-                         enumerate_stable, generate, gs_scorelimits,
-                         induced_matching, lower_quota_heuristic)
+                         enumerate_stable, from_document, generate,
+                         gs_scorelimits, induced_matching,
+                         lower_quota_heuristic)
 
 
 def rank_sum(inst, matching) -> int:
@@ -198,6 +199,33 @@ def test_heuristic_unstable_on_pinned_fixture():
     assert check(inst, sol, "lower").verdict == "unstable"
     stable = enumerate_stable(inst, "lower")
     assert stable.solutions  # a stable outcome exists, the heuristic missed it
+
+
+def lone_applicants_market(*colleges):
+    """Strict market of (upper, lower, applicants) colleges, each applicant
+    listing only their own college, so every applicant is admitted."""
+    doc = {"max_score": 9, "colleges": [], "applicants": []}
+    for j, (upper, lower, count) in enumerate(colleges):
+        doc["colleges"].append({"id": f"c{j}", "upper": upper, "lower": lower})
+        for k in range(count):
+            doc["applicants"].append({"id": f"a{j}_{k}", "list": [
+                {"rank": 1, "college": f"c{j}", "score": k + 1}]})
+    return from_document(doc)
+
+
+@pytest.mark.parametrize("colleges,order", [
+    pytest.param(((4, 4, 2), (2, 2, 1)), [1, 0], id="ratio-tie-fewer-admitted"),
+    pytest.param(((2, 2, 1), (2, 2, 1)), [0, 1], id="full-tie-lower-index"),
+    pytest.param(((2, 2, 1), (5, 5, 2)), [1, 0], id="smaller-ratio"),
+])
+def test_heuristic_closing_order(colleges, order):
+    """Smallest admitted/lower first, then fewest admitted, then index."""
+    inst = lone_applicants_market(*colleges)
+    _matching, closed, trace = lower_quota_heuristic(inst)
+    assert [e.college for e in trace] == order
+    assert [(e.admitted, e.lower) for e in trace] == [
+        (colleges[j][2], colleges[j][1]) for j in order]
+    assert closed == set(order)
 
 
 def test_heuristic_open_colleges_meet_lower_quotas():

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (BUILDS, FIXTURE_DIR, load, matchings_of, t_projection,
-                      x_projection)
-from stableadmit import (GenConfig, Instance, LowerGroup, ModelError,
-                         build_classical, build_combined, build_common,
-                         build_lower, build_paired, build_paired_via_common,
+from conftest import (BUILDS, FIXTURE_DIR, classical_with, grouped_i4b, load,
+                      matchings_of, t_projection, x_projection)
+from stableadmit import (GenConfig, ModelError, build_classical,
+                         build_combined, build_common, build_lower,
+                         build_paired, build_paired_via_common,
                          build_scorelimits, check, enumerate_feasible,
                          enumerate_stable, extract_solution, generate, solve,
                          solve_lex)
@@ -174,20 +174,6 @@ def test_lower_infeasible_when_stable_set_empty():
     assert solve(build_lower(load("I5"))).status == "infeasible"
 
 
-def grouped_i4b():
-    """I4B with its only college inside a declared lower-quota group."""
-    base = load("I4B")
-    grouped = Instance(
-        max_score=base.max_score,
-        applicants=base.applicants,
-        colleges=base.colleges,
-        applications=base.applications,
-        lower_quota_groups=(LowerGroup("g1", (0,), 2),),
-    )
-    grouped.validate()
-    return grouped
-
-
 def test_lower_group_flag_must_match_the_instance():
     plain = build_lower(load("I4B"))
     assert plain.name == "lower" and not plain.vars_by_role("group_open")
@@ -289,12 +275,12 @@ def test_extract_solution_rejects_violating_assignments():
 
 
 def test_rank_objectives_bracket_the_stable_set():
-    res = solve(build_classical(load("I2"), objective="applicant_optimal"))
+    res = solve(classical_with("applicant_optimal")(load("I2")))
     assert res.status == "optimal" and res.objective_values == [1]
 
     inst = load("TWO")
-    best = solve(build_classical(inst, objective="applicant_optimal"))
-    worst = solve(build_classical(inst, objective="applicant_pessimal"))
+    best = solve(classical_with("applicant_optimal")(inst))
+    worst = solve(classical_with("applicant_pessimal")(inst))
     totals = []
     for matching in oracle_x(inst, "classical"):
         total = 0

@@ -213,6 +213,9 @@ def test_solve_preprocess_report(capsys):
     (("compare", "I2", "--node-cap", "-1"), "--node-cap must not be negative"),
     (("generate", "--n", "2", "--m", "1", "--seed", "1", "--out",
       str(fixture_path("I2") / "out.json")), "cannot write"),
+    (("solve", "I2", "--time-cap", "nan"), "--time-cap must be a number"),
+    (("enumerate", "I2", "--time-cap", "nan"), "--time-cap must be a number"),
+    (("compare", "I2", "--time-cap", "nan"), "--time-cap must be a number"),
 ])
 def test_usage_errors_exit_1(capsys, argv, needle):
     argv = [a if a != "I2" and a != "I3" and a != "I4B"
@@ -281,6 +284,57 @@ def test_check_limits_only_on_paired_market_is_refused(capsys, tmp_path):
     assert code == 1
     assert doc is None
     assert err == "error: score-limit variant needs simple applications\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("limit,kind", [
+    (5, "reducible_score_limit"),
+    (8, "unfilled_positive_limit"),
+])
+def test_check_limits_only_file_that_can_drop_a_limit(capsys, tmp_path, limit,
+                                                      kind):
+    sol = write_json(tmp_path, "limits.json", {"score_limits": {"c1": limit}})
+    code, doc, _ = run(capsys, "check", "--variant", "scorelimits",
+                       str(fixture_path("I2")), sol)
+    assert code == 0
+    assert doc["verdict"] == "unstable"
+    assert [v["kind"] for v in doc["violations"]] == [kind]
+
+
+@pytest.mark.parametrize("section", [None, {}])
+def test_check_null_or_empty_matching_means_unmatched(capsys, tmp_path,
+                                                      section):
+    # the limit admits a1, so an all-unmatched claim is refused
+    sol = write_json(tmp_path, "sol.json",
+                     {"matching": section, "score_limits": {"c1": 4}})
+    code, doc, err = run(capsys, "check", "--variant", "scorelimits",
+                         str(fixture_path("I2")), sol)
+    assert code == 1 and doc is None
+    assert err == ("error: matching is not the one the score limits "
+                   "admit\n")
+    # a limit above every score admits nobody, which the claim matches
+    sol = write_json(tmp_path, "sol.json",
+                     {"matching": section, "score_limits": {"c1": 8}})
+    code, doc, _ = run(capsys, "check", "--variant", "scorelimits",
+                       str(fixture_path("I2")), sol)
+    assert code == 0
+    assert [v["kind"] for v in doc["violations"]] == [
+        "unfilled_positive_limit"]
+
+
+@pytest.mark.parametrize("kind", ["instance", "solution"])
+def test_deeply_nested_json_is_invalid_json(capsys, tmp_path, kind):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    if kind == "instance":
+        argv, where = ("validate", str(deep)), "$"
+    else:
+        argv = ("check", "--variant", "classical", str(fixture_path("I2")),
+                str(deep))
+        where = str(deep)
+    code, doc, err = run(capsys, *argv)
+    assert code == 1 and doc is None
+    assert err.startswith(f"error: {where}: invalid JSON")
     assert "Traceback" not in err
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load, matchings_of
+from conftest import grouped_i4b, load, matchings_of
 from stableadmit import (College, GenConfig, Instance, LowerGroup, ShapeError,
                          SizeGuardError, Solution, check, da, empty_matching,
                          enumerate_stable, generate, gs_scorelimits,
@@ -244,6 +244,21 @@ def test_enumeration_cap_truncates():
     res = enumerate_stable(load("I3"), "weak_ties", cap=1)
     assert res.truncated
     assert len(res.solutions) == 1
+
+
+@pytest.mark.parametrize("make,variant", [
+    pytest.param(lambda: load("OPP"), "scorelimits_H", id="scorelimits_H"),
+    pytest.param(grouped_i4b, "lower", id="lower-grouped"),
+])
+def test_enumeration_cap_keeps_the_first_solutions(make, variant):
+    inst = make()
+    full = enumerate_stable(inst, variant)
+    assert not full.truncated and len(full.solutions) >= 2
+    for k in range(len(full.solutions)):
+        res = enumerate_stable(inst, variant, cap=k)
+        assert res.truncated
+        assert res.solutions == full.solutions[:k]
+    assert not enumerate_stable(inst, variant, cap=len(full.solutions)).truncated
 
 
 # Report pins: seeded markets under every matching-based variant, each
