@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Union
 
@@ -46,7 +47,7 @@ class College:
     lower: int = 0  # minimum intake when open; 0 means the college never closes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Application:
     applicant: int                      # applicant index
     rank: int                           # position in the applicant's list, 1 is best
@@ -55,8 +56,16 @@ class Application:
     # derived from target once, outside init, comparison, hash and repr
     is_paired: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "is_paired", isinstance(self.target, tuple))
+    def __init__(self, applicant: int, rank: int, target: Target,
+                 score: Union[int, tuple[int, int]]) -> None:
+        # bypasses the frozen __setattr__ with one lookup per record and no
+        # __post_init__ call; slots keep each record small
+        fill = object.__setattr__
+        fill(self, "applicant", applicant)
+        fill(self, "rank", rank)
+        fill(self, "target", target)
+        fill(self, "score", score)
+        fill(self, "is_paired", isinstance(target, tuple))
 
     def colleges(self) -> tuple[int, ...]:
         return self.target if self.is_paired else (self.target,)
@@ -100,17 +109,19 @@ class Instance:
 
     @cached_property
     def by_applicant(self) -> tuple[tuple[Application, ...], ...]:
-        """Each applicant's applications sorted by rank, best first."""
+        """Each applicant's applications sorted by rank, best first;
+        from_document installs the lists it builds while parsing."""
         lists: list[list[Application]] = [[] for _ in self.applicants]
         for app in self.applications:
             lists[app.applicant].append(app)
         for lst in lists:
-            lst.sort(key=lambda a: a.rank)
+            lst.sort(key=attrgetter("rank"))
         return tuple(tuple(lst) for lst in lists)
 
     @cached_property
     def score_table(self) -> dict[tuple[int, int], int]:
-        """(applicant, college) -> score, aggregated over all applications."""
+        """(applicant, college) -> score, aggregated over all applications;
+        validate installs the same table as it checks the scores."""
         table: dict[tuple[int, int], int] = {}
         for app in self.applications:
             for j in app.colleges():
@@ -165,61 +176,93 @@ class Instance:
         return self._applicant_ids[aid]
 
     def validate(self) -> None:
-        """Raise InvariantError on any broken instance rule."""
-        if self.max_score < 0:
+        """Raise InvariantError on any broken instance rule.
+
+        Every number must be a plain int. The checks run in one pass over
+        the applications; the first inconsistent score is reported only
+        once no per-application rule fails, and the (applicant, college)
+        score map built on the way becomes score_table."""
+        n, m, max_score = self.n, self.m, self.max_score
+        applicants, colleges = self.applicants, self.colleges
+        if type(max_score) is not int:
+            raise InvariantError(f"max_score {max_score!r} is not an int")
+        if max_score < 0:
             raise InvariantError("max_score must be >= 0")
-        if len({c.id for c in self.colleges}) != self.m:
+        if len({c.id for c in colleges}) != m:
             raise InvariantError("college ids must be distinct")
-        if len(set(self.applicants)) != self.n:
+        if len(set(applicants)) != n:
             raise InvariantError("applicant ids must be distinct")
-        for c in self.colleges:
+        for c in colleges:
+            if type(c.upper) is not int or type(c.lower) is not int:
+                raise InvariantError(f"college {c.id}: quotas must be ints")
             if c.upper < 1:
                 raise InvariantError(f"college {c.id}: upper quota must be >= 1")
             if not 0 <= c.lower <= c.upper:
                 raise InvariantError(
                     f"college {c.id}: lower quota must satisfy 0 <= lower <= upper")
-        ranks: list[set[int]] = [set() for _ in self.applicants]
-        simple_targets: list[set[int]] = [set() for _ in self.applicants]
-        pair_targets: list[set[frozenset[int]]] = [set() for _ in self.applicants]
-        for app in self.applications:
-            if not 0 <= app.applicant < self.n:
-                raise InvariantError(f"application references unknown applicant index {app.applicant}")
-            aid = self.applicants[app.applicant]
-            if app.rank < 1:
-                raise InvariantError(f"applicant {aid}: ranks start at 1")
-            if app.rank in ranks[app.applicant]:
-                raise InvariantError(f"applicant {aid}: duplicate rank {app.rank}")
-            ranks[app.applicant].add(app.rank)
-            for j in app.colleges():
-                if not 0 <= j < self.m:
-                    raise InvariantError(f"applicant {aid}: unknown college index {j}")
-                s = app.score_at(j)
-                if not 0 <= s <= self.max_score:
-                    raise InvariantError(
-                        f"applicant {aid}: score {s} outside [0, {self.max_score}]")
-            if app.is_paired:
-                j, k = app.target
-                if j == k:
-                    raise InvariantError(f"applicant {aid}: paired application targets one college twice")
-                key = frozenset((j, k))
-                if key in pair_targets[app.applicant]:
-                    raise InvariantError(f"applicant {aid}: duplicate paired application")
-                pair_targets[app.applicant].add(key)
-            else:
-                if app.target in simple_targets[app.applicant]:
-                    raise InvariantError(
-                        f"applicant {aid}: duplicate application to {self.colleges[app.target].id}")
-                simple_targets[app.applicant].add(app.target)
+
+        def check_score(aid: str, j: int, s) -> None:
+            # simple applications test all three cheaply first and call this
+            # only when one fails
+            if not 0 <= j < m:
+                raise InvariantError(f"applicant {aid}: unknown college index {j}")
+            if type(s) is not int:
+                raise InvariantError(f"applicant {aid}: score {s!r} is not an int")
+            if not 0 <= s <= max_score:
+                raise InvariantError(
+                    f"applicant {aid}: score {s} outside [0, {max_score}]")
+
+        ranks: list[set[int]] = [set() for _ in range(n)]
+        simple_targets: list[set[int]] = [set() for _ in range(n)]
+        pair_targets: list[set[frozenset[int]]] = [set() for _ in range(n)]
         # one score per (applicant, college) across all that applicant's entries
-        seen_scores: dict[tuple[int, int], int] = {}
+        table: dict[tuple[int, int], int] = {}
+        inconsistent = None
         for app in self.applications:
-            for j in app.colleges():
-                key = (app.applicant, j)
-                s = app.score_at(j)
-                if seen_scores.setdefault(key, s) != s:
+            i, rank, target = app.applicant, app.rank, app.target
+            if not 0 <= i < n:
+                raise InvariantError(f"application references unknown applicant index {i}")
+            aid = applicants[i]
+            if type(rank) is not int:
+                raise InvariantError(f"applicant {aid}: rank {rank!r} is not an int")
+            if rank < 1:
+                raise InvariantError(f"applicant {aid}: ranks start at 1")
+            if rank in ranks[i]:
+                raise InvariantError(f"applicant {aid}: duplicate rank {rank}")
+            ranks[i].add(rank)
+            if app.is_paired:
+                (j, k), (s, t) = target, app.score
+                check_score(aid, j, s)
+                if j == k:
                     raise InvariantError(
-                        f"applicant {self.applicants[app.applicant]}: inconsistent scores "
-                        f"at college {self.colleges[j].id}")
+                        f"applicant {aid}: paired application targets one college twice")
+                check_score(aid, k, t)
+                key = frozenset(target)
+                if key in pair_targets[i]:
+                    raise InvariantError(f"applicant {aid}: duplicate paired application")
+                pair_targets[i].add(key)
+                if table.setdefault((i, j), s) != s and inconsistent is None:
+                    inconsistent = (i, j)
+                if table.setdefault((i, k), t) != t and inconsistent is None:
+                    inconsistent = (i, k)
+            else:
+                s = app.score
+                if not (0 <= target < m and type(s) is int and 0 <= s <= max_score):
+                    check_score(aid, target, s)
+                if target in simple_targets[i]:
+                    raise InvariantError(
+                        f"applicant {aid}: duplicate application to {colleges[target].id}")
+                simple_targets[i].add(target)
+                if table.setdefault((i, target), s) != s and inconsistent is None:
+                    inconsistent = (i, target)
+        if inconsistent is not None:
+            i, j = inconsistent
+            raise InvariantError(
+                f"applicant {applicants[i]}: inconsistent scores at college {colleges[j].id}")
+        scores_at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        if self.common_quota_sets:
+            for (i, j), s in table.items():
+                scores_at[j].append((i, s))
         set_ids = set()
         for qs in self.common_quota_sets:
             if qs.id in set_ids:
@@ -229,19 +272,24 @@ class Instance:
                 raise InvariantError(f"quota set {qs.id}: members must be non-empty")
             if len(set(qs.members)) != len(qs.members):
                 raise InvariantError(f"quota set {qs.id}: duplicate member")
+            if type(qs.upper) is not int:
+                raise InvariantError(f"quota set {qs.id}: upper quota must be an int")
             if qs.upper < 0:
                 raise InvariantError(f"quota set {qs.id}: upper quota must be >= 0")
             for j in qs.members:
-                if not 0 <= j < self.m:
+                if not 0 <= j < m:
                     raise InvariantError(f"quota set {qs.id}: unknown college index {j}")
-            members = set(qs.members)
-            for i in range(self.n):
-                scores = {self.score_table[(i, j)]
-                          for j in members if (i, j) in self.score_table}
-                if len(scores) > 1:
+            # scans the applicants with a score inside the set, not all n of
+            # them; one college holds one score per applicant, so a
+            # single-member set needs no scan
+            if len(qs.members) > 1:
+                first: dict[int, int] = {}
+                unequal = [i for j in qs.members for i, s in scores_at[j]
+                           if first.setdefault(i, s) != s]
+                if unequal:
                     raise InvariantError(
-                        f"quota set {qs.id}: applicant {self.applicants[i]} has unequal "
-                        f"scores inside the set")
+                        f"quota set {qs.id}: applicant {applicants[min(unequal)]} has "
+                        f"unequal scores inside the set")
         group_ids = set()
         for g in self.lower_quota_groups:
             if g.id in group_ids:
@@ -251,11 +299,14 @@ class Instance:
                 raise InvariantError(f"lower group {g.id}: members must be non-empty")
             if len(set(g.members)) != len(g.members):
                 raise InvariantError(f"lower group {g.id}: duplicate member")
+            if type(g.lower) is not int:
+                raise InvariantError(f"lower group {g.id}: lower quota must be an int")
             if g.lower < 1:
                 raise InvariantError(f"lower group {g.id}: lower quota must be >= 1")
             for j in g.members:
-                if not 0 <= j < self.m:
+                if not 0 <= j < m:
                     raise InvariantError(f"lower group {g.id}: unknown college index {j}")
+        self.__dict__["score_table"] = table
 
 
 def is_nested(inst: Instance) -> bool:
@@ -321,6 +372,7 @@ def from_document(doc: dict) -> Instance:
     raw_applicants = _get(doc, "applicants", "$", list)
     applicants = []
     applications = []
+    by_applicant = []  # each applicant's own entries in rank order
     for ai, entry in enumerate(raw_applicants):
         if not isinstance(entry, dict):
             _expect(False, f"applicants[{ai}]", "expected an object")
@@ -396,6 +448,7 @@ def from_document(doc: dict) -> Instance:
         if shuffled:
             own.sort(key=attrgetter("rank"))
         applications.extend(own)
+        by_applicant.append(tuple(own))
     raw_sets = _get(doc, "common_quotas", "$", list, required=False, default=[])
     quota_sets = []
     for si, entry in enumerate(raw_sets):
@@ -432,6 +485,8 @@ def from_document(doc: dict) -> Instance:
         common_quota_sets=tuple(quota_sets),
         lower_quota_groups=tuple(groups),
     )
+    # the cached property would regroup and re-sort the same entries
+    inst.__dict__["by_applicant"] = tuple(by_applicant)
     inst.validate()
     return inst
 
@@ -489,6 +544,34 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def instance_digest(inst: Instance) -> str:
-    """Stable content hash used in reports."""
-    payload = json.dumps(to_document(inst), separators=(",", ":"), sort_keys=True)
+    """Stable content hash used in reports: sha256 of the compact, key-sorted
+    JSON of to_document(inst), written directly in one pass (keys in sorted
+    order, strings escaped as json.dumps escapes them, ints as digits)."""
+    esc = encode_basestring_ascii
+    cids = [esc(c.id) for c in inst.colleges]
+
+    def entry(app: Application) -> str:
+        if app.is_paired:
+            (j, k), (s, t) = app.target, app.score
+            return f'{{"pair":[{cids[j]},{cids[k]}],"rank":{app.rank},"scores":[{s},{t}]}}'
+        return f'{{"college":{cids[app.target]},"rank":{app.rank},"score":{app.score}}}'
+
+    def members(js: tuple[int, ...]) -> str:
+        return ",".join([cids[j] for j in js])
+
+    applicants = ",".join([
+        f'{{"id":{esc(aid)},"list":[{",".join(map(entry, apps))}]}}'
+        for aid, apps in zip(inst.applicants, inst.by_applicant)])
+    colleges = ",".join([
+        f'{{"id":{cid},"lower":{c.lower},"upper":{c.upper}}}'
+        for cid, c in zip(cids, inst.colleges)])
+    quota_sets = ",".join([
+        f'{{"id":{esc(qs.id)},"members":[{members(qs.members)}],"upper":{qs.upper}}}'
+        for qs in inst.common_quota_sets])
+    groups = ",".join([
+        f'{{"id":{esc(g.id)},"lower":{g.lower},"members":[{members(g.members)}]}}'
+        for g in inst.lower_quota_groups])
+    payload = (f'{{"applicants":[{applicants}],"colleges":[{colleges}],'
+               f'"common_quotas":[{quota_sets}],"lower_groups":[{groups}],'
+               f'"max_score":{inst.max_score}}}')
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -1,16 +1,19 @@
 """Instance parsing, validation, nesting, and serialization round-trips."""
 
 import copy
+import hashlib
 import json
 import random
-from dataclasses import replace
+import time
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text, load
 from stableadmit import (Application, College, GenConfig, Instance, InvariantError,
-                         QuotaSet, SchemaError, from_document, generate,
+                         LowerGroup, QuotaSet, SchemaError, from_document, generate,
                          instance_digest, is_nested, parse_instance,
                          serialize_instance, to_document)
 
@@ -300,6 +303,10 @@ def test_application_value_semantics():
     assert moved.is_paired is True
     assert moved.colleges() == (2, 0) and moved.score_at(0) == 6
     assert replace(paired, target=0, score=3).is_paired is False
+    with pytest.raises(FrozenInstanceError):
+        simple.rank = 3
+    copied = copy.deepcopy(paired)
+    assert copied == paired and copied.is_paired
 
 
 def test_generated_and_parsed_applications_are_equal():
@@ -330,6 +337,8 @@ def test_shuffled_ranks_parse_to_rank_order():
             == inst.applications
         assert [(a.applicant, a.rank) for a in parsed.applications] \
             == sorted(in_doc_order)
+        rebuilt = replace(parsed)  # a fresh instance groups and sorts again
+        assert parsed.by_applicant == rebuilt.by_applicant
 
 
 def ties_by_scan(inst):
@@ -354,3 +363,281 @@ def test_has_ties_matches_the_per_college_scan():
             assert inst.has_ties == ties_by_scan(inst), (seed, tie_density)
             seen.add(inst.has_ties)
     assert seen == {True, False}
+
+
+# Digest pins: instance_digest of every fixture and of generated markets
+# shaped like the benchmark's market configs, at two seeds each.
+DIGEST_FIXTURES = ("I1", "I2", "I3", "I4", "I4B", "TWO", "OPP", "PAIR0",
+                   "PAIR1", "PAIRMIX", "NEST", "SGL", "I5", "I6", "I7", "I8",
+                   "ROUNDS2")
+DIGEST_PIN_MARKETS = {
+    "exact_mid classical": dict(n=40, m=10, list_range=(1, 4), max_score=80,
+                                upper_range=(1, 4)),
+    "exact_mid strict": dict(n=60, m=10, list_range=(1, 4), max_score=120,
+                             upper_range=(1, 6)),
+    "exact_mid ties": dict(n=50, m=10, list_range=(1, 4), max_score=100,
+                           tie_density=0.3, upper_range=(1, 5)),
+    "exact_mid lower": dict(n=50, m=10, list_range=(1, 4), max_score=100,
+                            upper_range=(1, 10), lower_range=(1, 10)),
+    "exact_mid nested": dict(n=22, m=8, list_range=(1, 4), max_score=44,
+                             upper_range=(1, 3), topology="nested",
+                             set_count=3),
+    "exact_mid paired": dict(n=60, m=10, list_range=(1, 4), max_score=120,
+                             upper_range=(1, 6), pair_prob=0.2),
+    "exact_mid paired_small": dict(n=16, m=8, list_range=(1, 4),
+                                   max_score=32, upper_range=(1, 2),
+                                   pair_prob=0.2),
+    "exact_mid combined": dict(n=14, m=7, list_range=(1, 4), max_score=28,
+                               upper_range=(1, 2), lower_range=(1, 2)),
+    "scale_certify strict": dict(n=200, m=15, list_range=(1, 4),
+                                 max_score=400, upper_range=(1, 20)),
+    "scale_certify strict_large": dict(n=400, m=40, list_range=(1, 4),
+                                       max_score=800, upper_range=(1, 10)),
+    "scale_certify lower_tight": dict(n=200, m=20, list_range=(1, 4),
+                                      max_score=400, upper_range=(10, 30),
+                                      lower_range=(10, 30)),
+    "scale_certify paired": dict(n=200, m=15, list_range=(1, 4),
+                                 max_score=400, upper_range=(1, 20),
+                                 pair_prob=0.2),
+    "scale_certify gs_small": dict(n=80, m=8, list_range=(1, 4),
+                                   max_score=160, upper_range=(1, 10)),
+    "enumerate_small ties": dict(n=8, m=3, list_range=(1, 2), max_score=6,
+                                 tie_density=0.4, upper_range=(1, 3)),
+    "enumerate_small lower": dict(n=8, m=3, list_range=(1, 2), max_score=16,
+                                  upper_range=(1, 3), lower_range=(1, 3)),
+    "enumerate_small nested": dict(n=6, m=2, list_range=(1, 2), max_score=5,
+                                   upper_range=(1, 2), topology="nested",
+                                   set_count=1),
+}
+DIGEST_PIN_SEEDS = (1, 7919)
+
+
+def digest_pins() -> dict[str, str]:
+    out = {name: instance_digest(load(name)) for name in DIGEST_FIXTURES}
+    for market, cfg in DIGEST_PIN_MARKETS.items():
+        for seed in DIGEST_PIN_SEEDS:
+            out[f"{market} {seed}"] = instance_digest(
+                generate(GenConfig(seed=seed, **cfg)))
+    return out
+
+
+# Invariant-message pins: documents that break several instance rules at
+# once, so the pinned message also fixes which rule validate reports first.
+def _entries(d, ai):
+    return d["applicants"][ai]["list"]
+
+
+INVARIANT_CASES = {
+    "negative max_score and duplicate applicant":
+        lambda d: (d.update(max_score=-1), _applicant(d).update(id="a1")),
+    "duplicate applicant and score out of range":
+        lambda d: (_applicant(d).update(id="a1"), _simple(d).update(score=99)),
+    "upper 0 on c2 and lower above upper on c1":
+        lambda d: (_college(d).update(upper=0), d["colleges"][0].update(lower=3)),
+    "college upper 0 and bad lower group":
+        lambda d: (_college(d).update(upper=0), _group(d).update(lower=0)),
+    "duplicate rank and score out of range":
+        lambda d: _simple(d).update(rank=1, score=99),
+    "score out of range before a duplicate rank":
+        lambda d: (_entries(d, 0)[0].update(score=99),
+                   _entries(d, 0)[1].update(rank=1)),
+    "rank 0 and duplicate application":
+        lambda d: _simple(d).update(rank=0, college="c1"),
+    "pair on one college with its second score out of range":
+        lambda d: _pair(d).update(pair=["c1", "c1"], scores=[3, 99]),
+    "duplicate pair with a score out of range":
+        lambda d: _entries(d, 1).append(
+            {"rank": 2, "pair": ["c2", "c1"], "scores": [3, 10]}),
+    "inconsistent score at the second college of a pair":
+        lambda d: _entries(d, 0).append(
+            {"rank": 3, "pair": ["c2", "c1"], "scores": [5, 6]}),
+    "inconsistent score before a duplicate pair":
+        lambda d: (_entries(d, 0).append(
+            {"rank": 3, "pair": ["c2", "c1"], "scores": [4, 6]}),
+            _entries(d, 1).append(
+            {"rank": 2, "pair": ["c2", "c1"], "scores": [3, 3]})),
+    "inconsistent simple score before a duplicate rank":
+        lambda d: _entries(d, 1).extend([
+            {"rank": 2, "college": "c1", "score": 4},
+            {"rank": 2, "college": "c2", "score": 3}]),
+    "inconsistent score and unequal scores inside a set":
+        lambda d: (_simple(d).update(score=6), _entries(d, 1).append(
+            {"rank": 2, "college": "c1", "score": 4})),
+    "unequal scores for two applicants inside a set":
+        lambda d: (_simple(d).update(score=6),
+                   _pair(d).update(scores=[3, 4]),
+                   _quota_set(d).update(members=["c2", "c1"])),
+    "unequal scores for a later applicant at an earlier member":
+        lambda d: (d["colleges"].append({"id": "c3", "upper": 1}),
+                   _entries(d, 0).append({"rank": 3, "college": "c3", "score": 7}),
+                   _pair(d).update(scores=[3, 4]),
+                   _quota_set(d)["members"].append("c3")),
+    "unequal scores in a set before a duplicate set id":
+        lambda d: (_pair(d).update(scores=[3, 4]), d["common_quotas"].append(
+            {"id": "p1", "members": ["c1"], "upper": 1})),
+    "quota set upper negative and empty set later":
+        lambda d: (_quota_set(d).update(upper=-1), d["common_quotas"].append(
+            {"id": "p2", "members": [], "upper": 1})),
+    "lower group 0 and duplicate group id":
+        lambda d: (_group(d).update(lower=0), d["lower_groups"].append(
+            {"id": "g1", "members": ["c1"], "lower": 1})),
+}
+
+
+def invariant_messages() -> dict[str, str]:
+    out = {}
+    for case, mutate in INVARIANT_CASES.items():
+        doc = copy.deepcopy(SCHEMA_BASE)
+        mutate(doc)
+        try:
+            from_document(doc)
+        except InvariantError as exc:
+            out[case] = str(exc)
+    return out
+
+
+def instance_pins() -> dict:
+    return {"digests": digest_pins(), "invariants": invariant_messages()}
+
+
+INSTANCE_PINS = json.loads((Path(__file__).parent / "instance_pins.json")
+                           .read_text(encoding="utf-8"))
+
+
+def test_digests_are_pinned():
+    """instance_digest on fixtures and generated markets, captured before
+    the digest payload was written directly, with
+
+      PYTHONPATH=src:tests python -c "import json, test_instance as t; \\
+        print(json.dumps(t.instance_pins(), indent=1, sort_keys=True))" \\
+        > tests/instance_pins.json
+    """
+    assert digest_pins() == INSTANCE_PINS["digests"]
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
+def test_first_invariant_error_is_pinned(case):
+    """The first InvariantError of a document breaking several rules,
+    captured with the digests (see test_digests_are_pinned) before
+    validate checked everything in one pass."""
+    doc = copy.deepcopy(SCHEMA_BASE)
+    INVARIANT_CASES[case](doc)
+    with pytest.raises(InvariantError) as info:
+        from_document(doc)
+    assert str(info.value) == INSTANCE_PINS["invariants"][case]
+
+
+_ids = st.text(st.one_of(st.characters(exclude_categories=()),
+                         st.sampled_from('"\\\x00\x1f\x7f \U0001F600')),
+               max_size=6)
+
+
+@st.composite
+def _instances(draw) -> Instance:
+    """Structurally shaped instances, not necessarily valid: digesting
+    needs only ids, member tuples and int fields."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(1, 4))
+    college = st.integers(0, m - 1)
+    num = st.integers(-10**20, 10**20)
+    applications = []
+    for i in range(n):
+        ranks = draw(st.lists(st.integers(1, 9), unique=True, max_size=4))
+        for rank in ranks:
+            if draw(st.booleans()):
+                applications.append(Application(
+                    i, rank, (draw(college), draw(college)), (draw(num), draw(num))))
+            else:
+                applications.append(Application(i, rank, draw(college), draw(num)))
+    members = st.lists(college, max_size=3).map(tuple)
+    return Instance(
+        max_score=draw(num),
+        applicants=tuple(draw(st.lists(_ids, min_size=n, max_size=n))),
+        colleges=tuple(College(draw(_ids), draw(num), draw(num))
+                       for _ in range(m)),
+        applications=tuple(applications),
+        common_quota_sets=tuple(draw(st.lists(st.builds(
+            QuotaSet, _ids, members, num), max_size=3))),
+        lower_quota_groups=tuple(draw(st.lists(st.builds(
+            LowerGroup, _ids, members, num), max_size=3))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances())
+def test_digest_is_sha256_of_the_sorted_compact_document(inst):
+    payload = json.dumps(to_document(inst), separators=(",", ":"),
+                         sort_keys=True)
+    assert instance_digest(inst) == hashlib.sha256(payload.encode()).hexdigest()
+
+
+def score_table_by_scan(inst):
+    """score_table and has_ties as first defined, over all applications."""
+    table = {}
+    for app in inst.applications:
+        for j in app.colleges():
+            table[(app.applicant, j)] = app.score_at(j)
+    return table, len({(j, s) for (_i, j), s in table.items()}) < len(table)
+
+
+def test_score_table_and_ties_match_the_scan():
+    insts = [load(name) for name in DIGEST_FIXTURES]
+    insts += [generate(GenConfig(seed=seed, **cfg))
+              for cfg in DIGEST_PIN_MARKETS.values() for seed in DIGEST_PIN_SEEDS]
+    for inst in insts:
+        table, ties = score_table_by_scan(inst)
+        assert list(inst.score_table.items()) == list(table.items())
+        assert inst.has_ties == ties
+
+
+def test_single_college_sets_parse_in_linear_time():
+    """8,000 applicants, one application each over 10 colleges, and 800
+    single-college quota sets: the equal-score check of a set must not
+    scan every applicant once per set."""
+    n, m, sets = 8000, 10, 800
+    doc = {
+        "max_score": n,
+        "colleges": [{"id": f"c{j}", "upper": n} for j in range(m)],
+        "applicants": [{"id": f"a{i}", "list": [
+            {"rank": 1, "college": f"c{i % m}", "score": i}]} for i in range(n)],
+        "common_quotas": [{"id": f"p{k}", "members": [f"c{k % m}"], "upper": 1}
+                          for k in range(sets)],
+    }
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    inst = parse_instance(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(inst.common_quota_sets) == sets
+
+
+@pytest.mark.parametrize("bad", [True, 2.5])
+@pytest.mark.parametrize("field", ["max_score", "college upper",
+                                   "college lower", "rank", "score",
+                                   "pair score", "quota set upper",
+                                   "group lower"])
+def test_non_int_numbers_are_rejected(field, bad):
+    base = from_document(copy.deepcopy(SCHEMA_BASE))
+    apps = list(base.applications)
+    if field == "max_score":
+        inst = replace(base, max_score=bad)
+    elif field.startswith("college"):
+        key = field.split()[1]
+        inst = replace(base, colleges=(replace(base.colleges[0], **{key: bad}),)
+                       + base.colleges[1:])
+    elif field == "rank":
+        apps[1] = replace(apps[1], rank=bad)
+        inst = replace(base, applications=tuple(apps))
+    elif field == "score":
+        apps[1] = replace(apps[1], score=bad)
+        inst = replace(base, applications=tuple(apps))
+    elif field == "pair score":
+        apps[2] = replace(apps[2], score=(3, bad))
+        inst = replace(base, applications=tuple(apps))
+    elif field == "quota set upper":
+        inst = replace(base, common_quota_sets=(
+            replace(base.common_quota_sets[0], upper=bad),))
+    else:
+        inst = replace(base, lower_quota_groups=(
+            replace(base.lower_quota_groups[0], lower=bad),))
+    with pytest.raises(InvariantError, match="int"):
+        inst.validate()
