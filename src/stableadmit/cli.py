@@ -10,8 +10,8 @@ when the solver and the stability oracle disagree about a result.
 
 Every successful solve is re-audited through the stability oracle; the
 verdict printed in a report always comes from the oracle, never from
-the solver alone. Model mixes without an oracle variant get a
-feasibility-only audit and the verdict "unverified". check passes a
+the solver alone. Model mixes without an oracle variant get only the
+oracle's feasibility pass and the verdict "unverified". check passes a
 score-limit solution file without a matching section to the oracle as
 it is; the oracle reads the matching off the limits.
 
@@ -37,7 +37,7 @@ from .instance import (Instance, InstanceError, instance_digest,
                        parse_instance, serialize_instance)
 from .generator import ConfigError, GenConfig, generate
 from .linmodel import LinearModel, ModelError
-from .oracle import ShapeError, SizeGuardError, check
+from .oracle import ShapeError, SizeGuardError, check, quota_breaches
 from .preprocess import apply_fixings, fix_iterate
 from .solution import Solution, solution_from_document, solution_to_document
 from .solver import SolverError, enumerate_feasible, solve, solve_lex
@@ -218,33 +218,6 @@ def _apply_objective(inst: Instance, model: LinearModel, model_name: str,
     add_named_objective(inst, model, objective.replace("-", "_"))
 
 
-def _feasibility_audit(inst: Instance, sol: Solution) -> list[str]:
-    """Quota bookkeeping for outcomes without an oracle variant."""
-    problems = []
-    intake = sol.intake(inst)
-    for j, c in enumerate(inst.colleges):
-        if intake[j] > c.upper:
-            problems.append(f"college {c.id} over quota")
-        if sol.open_colleges:
-            if not sol.open_colleges.get(j, True):
-                if intake[j] > 0:
-                    problems.append(f"closed college {c.id} admits applicants")
-            elif intake[j] < c.lower:
-                problems.append(f"open college {c.id} under lower quota")
-    for qs in inst.common_quota_sets:
-        total = sum(intake[j] for j in qs.members)
-        if total > qs.upper:
-            problems.append(f"quota set {qs.id} over quota")
-    for g in inst.lower_quota_groups:
-        states = {sol.open_colleges.get(j, True) for j in g.members}
-        if len(states) > 1:
-            problems.append(f"group {g.id} members disagree on open state")
-        elif states == {True}:
-            if sum(intake[j] for j in g.members) < g.lower:
-                problems.append(f"open group {g.id} under lower quota")
-    return problems
-
-
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
@@ -345,19 +318,15 @@ def _cmd_solve(args, argv: list[str]) -> int:
         return 1
     sol = extract_solution(model, res.assignment)
     if plan == "unverified":
-        problems = _feasibility_audit(inst, sol)
-        verdict, violations = "unverified", []
-        disagree = bool(problems)
-        detail = "; ".join(problems)
+        verdict, violations = "unverified", quota_breaches(inst, sol)
     else:
         report = check(inst, sol, plan)
         verdict, violations = report.verdict, report.violations
-        disagree = verdict != "stable"
-        detail = "; ".join(v.detail for v in violations)
     _emit(_solve_report(argv, inst, label, res.status, sol,
                         res.objective_values, verdict, violations,
                         preprocess_report, res.elapsed, res.nodes))
-    if disagree:
+    if violations:
+        detail = "; ".join(v.detail for v in violations)
         print(f"error: solver result fails the oracle audit: {detail}",
               file=sys.stderr)
         return 3

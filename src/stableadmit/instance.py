@@ -259,10 +259,16 @@ class Instance:
             i, j = inconsistent
             raise InvariantError(
                 f"applicant {applicants[i]}: inconsistent scores at college {colleges[j].id}")
+        # only an applicant holding two different scores can break a set,
+        # so the set scan below visits those applicants alone
         scores_at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         if self.common_quota_sets:
+            first_score: dict[int, int] = {}
+            mixed = {i for (i, _j), s in table.items()
+                     if first_score.setdefault(i, s) != s}
             for (i, j), s in table.items():
-                scores_at[j].append((i, s))
+                if i in mixed:
+                    scores_at[j].append((i, s))
         set_ids = set()
         for qs in self.common_quota_sets:
             if qs.id in set_ids:
@@ -279,9 +285,9 @@ class Instance:
             for j in qs.members:
                 if not 0 <= j < m:
                     raise InvariantError(f"quota set {qs.id}: unknown college index {j}")
-            # scans the applicants with a score inside the set, not all n of
-            # them; one college holds one score per applicant, so a
-            # single-member set needs no scan
+            # scans the mixed-score applicants with a score inside the set,
+            # not all n of them; one college holds one score per applicant,
+            # so a single-member set needs no scan
             if len(qs.members) > 1:
                 first: dict[int, int] = {}
                 unequal = [i for j in qs.members for i, s in scores_at[j]

@@ -12,6 +12,17 @@ Variants:
   lower          open/closed colleges, blocking groups at closed ones
   common         quota sets: a rejection needs one full set of better admits
   paired         two-college applications, both-or-neither semantics
+
+The five matching variants share one feasibility pass and one blocking
+rule. The pass checks upper quotas, then (with open flags) closed colleges
+that admit and open ones short of their lower quota, lower groups, and
+quota sets. For the rule, a pool is a college or a quota set, and it is
+full when its intake reaches its upper quota. guard[j] is the highest
+lowest-admit score over the full pools containing college j (-inf when
+none is full). An application the applicant prefers to their match is
+refused justly iff guard[j] + slack > score, with slack 1 under weak_ties
+and 0 otherwise; a paired application needs that at either college.
+scorelimits_H shares the feasibility pass and keeps its own cutoff check.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import inf
 
-from .instance import Application, Instance
+from .instance import Application, College, Instance
 from .solution import Solution, empty_matching
 
 VARIANTS = ("classical", "weak_ties", "scorelimits_H", "lower", "common", "paired")
@@ -66,22 +77,59 @@ class EnumerationResult:
     truncated: bool = False
 
 
+# Shape refusals per variant: each entry names an instance feature the
+# variant refuses and the message, checked in this order.
+_REFUSALS = {
+    "classical": (("has_pairs", "classical variants need simple applications only"),
+                  ("common_quota_sets", "classical variants exclude quota sets"),
+                  ("has_ties", "classical variant needs strict scores")),
+    "weak_ties": (("has_pairs", "classical variants need simple applications only"),
+                  ("common_quota_sets", "classical variants exclude quota sets")),
+    "scorelimits_H": (("has_pairs", "score-limit variant needs simple applications"),
+                      ("common_quota_sets", "score-limit variant excludes quota sets")),
+    "lower": (("has_pairs", "lower-quota variant needs simple applications"),
+              ("common_quota_sets", "lower-quota variant excludes quota sets"),
+              ("has_ties", "lower-quota variant needs strict scores")),
+    "common": (("has_pairs", "common-quota variant needs simple applications"),
+               ("has_ties", "common-quota variant needs strict scores"),
+               ("has_lower_quotas", "common-quota variant excludes lower quotas")),
+    "paired": (("common_quota_sets", "paired variant excludes quota sets"),
+               ("has_ties", "paired variant needs strict scores"),
+               ("has_lower_quotas", "paired variant excludes lower quotas")),
+}
+
+# blocking_pair details per matching variant: (no full pool holds the
+# college, a full pool holds a weaker admit); None means the first text
+# serves both
+_BLOCK_DETAILS = {
+    "classical": ("college has a free seat", "seat held by {} with score {}"),
+    "weak_ties": ("college has a free seat", "seat held by {} with score {}"),
+    "lower": ("open college has a free seat", "seat held by {} with a lower score"),
+    "common": ("no quota set containing the college is full of better admits", None),
+    "paired": ("college is not full of better admits", None),
+}
+
+
 def check(inst: Instance, sol: Solution, variant: str) -> StabilityReport:
     """Verdict is stable iff the variant's definition holds; feasibility
     violations yield infeasible, blocking-only violations yield unstable."""
-    if variant == "classical":
-        return _check_pairwise(inst, sol, weak=False)
-    if variant == "weak_ties":
-        return _check_pairwise(inst, sol, weak=True)
+    if variant not in _REFUSALS:
+        raise ShapeError(f"unknown variant {variant!r}")
+    for feature, message in _REFUSALS[variant]:
+        _require(not getattr(inst, feature), message)
     if variant == "scorelimits_H":
         return _check_scorelimits(inst, sol)
-    if variant == "lower":
-        return _check_lower(inst, sol)
-    if variant == "common":
-        return _check_common(inst, sol)
-    if variant == "paired":
-        return _check_paired(inst, sol)
-    raise ShapeError(f"unknown variant {variant!r}")
+    return _check_matching(inst, sol, variant)
+
+
+def quota_breaches(inst: Instance, sol: Solution) -> list[Violation]:
+    """The feasibility pass alone, for outcomes no variant audits: upper
+    quotas and quota sets always, lower quotas and groups under the
+    solution's open flags when it carries them."""
+    flags = ({j: sol.open_colleges.get(j, True) for j in range(inst.m)}
+             if sol.open_colleges else None)
+    grouped = flags is not None and bool(inst.lower_quota_groups)
+    return _feasibility(inst, sol.intake(inst), flags, grouped)
 
 
 def _verdict(violations: list[Violation]) -> StabilityReport:
@@ -135,56 +183,129 @@ def _admitted(inst: Instance, sol: Solution) -> list[list[int]]:
     return out
 
 
-def _lowest(inst: Instance, admitted: list[list[int]]) -> list[float]:
-    """Per college, the lowest score among its admits; inf when it has none.
-    A college holds a weaker admit than score s iff its lowest is below s,
-    so only then does a blocking check scan its list for the first one."""
-    return [min((inst.score_of(h, j) for h in hs), default=inf)
-            for j, hs in enumerate(admitted)]
+def _guard(inst: Instance, intake: list[int], admitted: list[list[int]]) -> list[float]:
+    """Per college j, the highest lowest-admit score over the full pools
+    containing j (the college itself and every quota set holding it);
+    -inf when none is full, inf when a full pool admits nobody."""
+    lowest = [min((inst.score_of(h, j) for h in hs), default=inf)
+              for j, hs in enumerate(admitted)]
+    guard = [lowest[j] if intake[j] >= c.upper else -inf
+             for j, c in enumerate(inst.colleges)]
+    for qs in inst.common_quota_sets:
+        if sum(intake[k] for k in qs.members) >= qs.upper:
+            floor = min(lowest[k] for k in qs.members)
+            for k in qs.members:
+                guard[k] = max(guard[k], floor)
+    return guard
 
 
-def _quota_violations(inst: Instance, sol: Solution) -> list[Violation]:
+def _feasibility(inst: Instance, intake: list[int], flags: dict[int, bool] | None,
+                 grouped: bool) -> list[Violation]:
+    """Upper quotas; with open flags, closed colleges that admit and open
+    ones short of their lower quota (after every upper quota when grouped),
+    then lower groups; then quota sets."""
     out = []
-    intake = sol.intake(inst)
+
+    def breach(college: College, detail: str) -> None:
+        out.append(Violation("quota_breach", {"college": college.id}, detail))
+
     for j, c in enumerate(inst.colleges):
+        if flags is not None and not flags[j]:
+            if intake[j] > 0:
+                breach(c, f"closed college admits {intake[j]} applicants")
+            continue
         if intake[j] > c.upper:
-            out.append(Violation("quota_breach", {"college": c.id},
-                                 f"{intake[j]} admitted with {c.upper} seats"))
+            breach(c, f"{intake[j]} admitted with {c.upper} seats")
+        if flags is not None and not grouped and intake[j] < c.lower:
+            breach(c, f"open college admits {intake[j]}, lower quota {c.lower}")
+    if grouped:
+        for j, c in enumerate(inst.colleges):
+            if flags[j] and intake[j] < c.lower:
+                breach(c, f"open college admits {intake[j]}, lower quota {c.lower}")
+        for g in inst.lower_quota_groups:
+            states = {flags[j] for j in g.members}
+            if len(states) > 1:
+                out.append(Violation("quota_breach", {"group": g.id},
+                                     "members must open or close together"))
+                continue
+            total = sum(intake[j] for j in g.members)
+            if states == {True} and total < g.lower:
+                out.append(Violation(
+                    "quota_breach", {"group": g.id},
+                    f"open group admits {total}, lower quota {g.lower}"))
+    for qs in inst.common_quota_sets:
+        total = sum(intake[j] for j in qs.members)
+        if total > qs.upper:
+            out.append(Violation(
+                "common_quota_breach", {"set": qs.id},
+                f"{total} admitted across the set with {qs.upper} joint seats"))
     return out
 
 
-def _check_pairwise(inst: Instance, sol: Solution, weak: bool) -> StabilityReport:
-    _require(not inst.has_pairs, "classical variants need simple applications only")
-    _require(not inst.common_quota_sets, "classical variants exclude quota sets")
-    if not weak:
-        _require(not inst.has_ties, "classical variant needs strict scores")
-    _validate_matching(inst, sol, allow_pairs=False)
-    violations = _quota_violations(inst, sol)
+def _check_matching(inst: Instance, sol: Solution, variant: str) -> StabilityReport:
+    """One path for every matching variant: the feasibility pass, then each
+    application the applicant prefers to their match is refused justly iff
+    guard[j] + slack > score at one of its colleges."""
+    _validate_matching(inst, sol, allow_pairs=variant == "paired")
+    lower = variant == "lower"
+    grouped = lower and bool(inst.lower_quota_groups)
+    if grouped:
+        _require(bool(sol.open_colleges), "group instances need explicit open flags")
+    flags = _derive_open_flags(inst, sol) if lower else None
     intake = sol.intake(inst)
+    violations = _feasibility(inst, intake, flags, grouped)
+    if violations and variant in ("common", "paired"):
+        return _verdict(violations)
     admitted = _admitted(inst, sol)
-    lowest = _lowest(inst, admitted)
+    guard = _guard(inst, intake, admitted)
+    slack = 1 if variant == "weak_ties" else 0
+    free, weaker = _BLOCK_DETAILS[variant]
     for app in inst.applications:
-        i, j = app.applicant, app.target
+        i = app.applicant
+        if app.is_paired:
+            j, k = app.target
+            if guard[j] + slack > app.score_at(j) or guard[k] + slack > app.score_at(k):
+                continue
+            rank = _matched_rank(inst, sol, i)
+            if rank is not None and rank <= app.rank:
+                continue
+            violations.append(Violation(
+                "paired_block",
+                {"applicant": inst.applicants[i],
+                 "pair": [inst.colleges[j].id, inst.colleges[k].id]},
+                "neither college is full of better admits"))
+            continue
+        j, s = app.target, app.score
+        if guard[j] + slack > s or (flags is not None and not flags[j]):
+            continue
         rank = _matched_rank(inst, sol, i)
         if rank is not None and rank <= app.rank:
             continue
-        if intake[j] < inst.colleges[j].upper:
-            violations.append(Violation(
-                "blocking_pair",
-                {"applicant": inst.applicants[i], "college": inst.colleges[j].id},
-                "college has a free seat"))
-            continue
-        s = app.score
-        if lowest[j] >= s:
-            continue
-        for h in admitted[j]:
-            sh = inst.score_of(h, j)
-            if h != i and sh < s:
+        detail = free
+        if weaker is not None and guard[j] > -inf:
+            h = next(h for h in admitted[j] if h != i and inst.score_of(h, j) < s)
+            detail = weaker.format(inst.applicants[h], inst.score_of(h, j))
+        violations.append(Violation(
+            "blocking_pair",
+            {"applicant": inst.applicants[i], "college": inst.colleges[j].id},
+            detail))
+    # blocking groups at closed colleges; dropped when groups are declared,
+    # mirroring the group builder which has no closed-college stability rule
+    if lower and not grouped:
+        for j, c in enumerate(inst.colleges):
+            if flags[j]:
+                continue
+            unsatisfied = 0
+            for i in inst.applicants_at[j]:
+                rank_here = min(a.rank for a in inst.by_applicant[i] if a.target == j)
+                rank = _matched_rank(inst, sol, i)
+                if rank is None or rank >= rank_here:
+                    unsatisfied += 1
+            if unsatisfied >= c.lower:
                 violations.append(Violation(
-                    "blocking_pair",
-                    {"applicant": inst.applicants[i], "college": inst.colleges[j].id},
-                    f"seat held by {inst.applicants[h]} with score {sh}"))
-                break
+                    "blocking_group", {"college": c.id},
+                    f"{unsatisfied} applicants would fill the closed college "
+                    f"(lower quota {c.lower})"))
     return _verdict(violations)
 
 
@@ -199,8 +320,6 @@ def _induced(inst: Instance, limits: list[int]) -> dict[int, int | None]:
 
 
 def _check_scorelimits(inst: Instance, sol: Solution) -> StabilityReport:
-    _require(not inst.has_pairs, "score-limit variant needs simple applications")
-    _require(not inst.common_quota_sets, "score-limit variant excludes quota sets")
     top = inst.max_score + 1
     limits = []
     for j, c in enumerate(inst.colleges):
@@ -213,10 +332,10 @@ def _check_scorelimits(inst: Instance, sol: Solution) -> StabilityReport:
         claimed = {i: sol.matching.get(i) for i in range(inst.n)}
         if claimed != induced.matching:
             raise ShapeError("matching is not the one the score limits admit")
-    violations = _quota_violations(inst, induced)
+    intake = induced.intake(inst)
+    violations = _feasibility(inst, intake, None, False)
     if violations:
         return _verdict(violations)
-    intake = induced.intake(inst)
     for j, c in enumerate(inst.colleges):
         if limits[j] == 0:
             continue
@@ -239,183 +358,6 @@ def _derive_open_flags(inst: Instance, sol: Solution) -> dict[int, bool]:
         return flags
     intake = sol.intake(inst)
     return {j: intake[j] > 0 or inst.colleges[j].lower == 0 for j in range(inst.m)}
-
-
-def _check_lower(inst: Instance, sol: Solution) -> StabilityReport:
-    _require(not inst.has_pairs, "lower-quota variant needs simple applications")
-    _require(not inst.common_quota_sets, "lower-quota variant excludes quota sets")
-    _require(not inst.has_ties, "lower-quota variant needs strict scores")
-    _validate_matching(inst, sol, allow_pairs=False)
-    grouped = bool(inst.lower_quota_groups)
-    if grouped:
-        _require(bool(sol.open_colleges),
-                 "group instances need explicit open flags")
-    flags = _derive_open_flags(inst, sol)
-    violations = []
-    intake = sol.intake(inst)
-    for j, c in enumerate(inst.colleges):
-        if not flags[j]:
-            if intake[j] > 0:
-                violations.append(Violation(
-                    "quota_breach", {"college": c.id},
-                    f"closed college admits {intake[j]} applicants"))
-        else:
-            if intake[j] > c.upper:
-                violations.append(Violation(
-                    "quota_breach", {"college": c.id},
-                    f"{intake[j]} admitted with {c.upper} seats"))
-            if not grouped and intake[j] < c.lower:
-                violations.append(Violation(
-                    "quota_breach", {"college": c.id},
-                    f"open college admits {intake[j]}, lower quota {c.lower}"))
-    if grouped:
-        for j, c in enumerate(inst.colleges):
-            if flags[j] and intake[j] < c.lower:
-                violations.append(Violation(
-                    "quota_breach", {"college": c.id},
-                    f"open college admits {intake[j]}, lower quota {c.lower}"))
-        for g in inst.lower_quota_groups:
-            states = {flags[j] for j in g.members}
-            if len(states) > 1:
-                violations.append(Violation(
-                    "quota_breach", {"group": g.id},
-                    "members must open or close together"))
-                continue
-            if states == {True}:
-                total = sum(intake[j] for j in g.members)
-                if total < g.lower:
-                    violations.append(Violation(
-                        "quota_breach", {"group": g.id},
-                        f"open group admits {total}, lower quota {g.lower}"))
-    # pairwise stability at open colleges
-    admitted = _admitted(inst, sol)
-    lowest = _lowest(inst, admitted)
-    for app in inst.applications:
-        i, j = app.applicant, app.target
-        if not flags[j]:
-            continue
-        rank = _matched_rank(inst, sol, i)
-        if rank is not None and rank <= app.rank:
-            continue
-        if intake[j] < inst.colleges[j].upper:
-            violations.append(Violation(
-                "blocking_pair",
-                {"applicant": inst.applicants[i], "college": inst.colleges[j].id},
-                "open college has a free seat"))
-            continue
-        if lowest[j] >= app.score:
-            continue
-        for h in admitted[j]:
-            if h != i and inst.score_of(h, j) < app.score:
-                violations.append(Violation(
-                    "blocking_pair",
-                    {"applicant": inst.applicants[i], "college": inst.colleges[j].id},
-                    f"seat held by {inst.applicants[h]} with a lower score"))
-                break
-    # blocking groups at closed colleges; dropped when groups are declared,
-    # mirroring the group builder which has no closed-college stability rule
-    if not grouped:
-        for j, c in enumerate(inst.colleges):
-            if flags[j]:
-                continue
-            unsatisfied = 0
-            for i in inst.applicants_at[j]:
-                rank_here = min(a.rank for a in inst.by_applicant[i] if a.target == j)
-                rank = _matched_rank(inst, sol, i)
-                if rank is None or rank >= rank_here:
-                    unsatisfied += 1
-            if unsatisfied >= c.lower:
-                violations.append(Violation(
-                    "blocking_group", {"college": c.id},
-                    f"{unsatisfied} applicants would fill the closed college "
-                    f"(lower quota {c.lower})"))
-    return _verdict(violations)
-
-
-def _containing_sets(inst: Instance, j: int) -> list[tuple[str, tuple[int, ...], int]]:
-    """Quota sets containing college j, the implicit singleton first."""
-    sets = [(inst.colleges[j].id, (j,), inst.colleges[j].upper)]
-    for qs in inst.common_quota_sets:
-        if j in qs.members:
-            sets.append((qs.id, qs.members, qs.upper))
-    return sets
-
-
-def _check_common(inst: Instance, sol: Solution) -> StabilityReport:
-    _require(not inst.has_pairs, "common-quota variant needs simple applications")
-    _require(not inst.has_ties, "common-quota variant needs strict scores")
-    _require(not any(c.lower for c in inst.colleges) and not inst.lower_quota_groups,
-             "common-quota variant excludes lower quotas")
-    _validate_matching(inst, sol, allow_pairs=False)
-    violations = _quota_violations(inst, sol)
-    intake = sol.intake(inst)
-    for qs in inst.common_quota_sets:
-        total = sum(intake[j] for j in qs.members)
-        if total > qs.upper:
-            violations.append(Violation(
-                "common_quota_breach", {"set": qs.id},
-                f"{total} admitted across the set with {qs.upper} joint seats"))
-    if violations:
-        return _verdict(violations)
-    lowest = _lowest(inst, _admitted(inst, sol))
-    for app in inst.applications:
-        i, j = app.applicant, app.target
-        rank = _matched_rank(inst, sol, i)
-        if rank is not None and rank <= app.rank:
-            continue
-        justified = False
-        for sid, members, upper in _containing_sets(inst, j):
-            if sum(intake[k] for k in members) == upper and \
-                    min(lowest[k] for k in members) > app.score:
-                justified = True
-                break
-        if not justified:
-            violations.append(Violation(
-                "blocking_pair",
-                {"applicant": inst.applicants[i], "college": inst.colleges[j].id},
-                "no quota set containing the college is full of better admits"))
-    return _verdict(violations)
-
-
-def _college_full_of_better(inst: Instance, admitted: list[list[int]],
-                            lowest: list[float], j: int, score: int) -> bool:
-    return len(admitted[j]) >= inst.colleges[j].upper and lowest[j] > score
-
-
-def _check_paired(inst: Instance, sol: Solution) -> StabilityReport:
-    _require(not inst.common_quota_sets, "paired variant excludes quota sets")
-    _require(not inst.has_ties, "paired variant needs strict scores")
-    _require(not any(c.lower for c in inst.colleges) and not inst.lower_quota_groups,
-             "paired variant excludes lower quotas")
-    _validate_matching(inst, sol, allow_pairs=True)
-    violations = _quota_violations(inst, sol)
-    if violations:
-        return _verdict(violations)
-    admitted = _admitted(inst, sol)
-    lowest = _lowest(inst, admitted)
-    for app in inst.applications:
-        i = app.applicant
-        rank = _matched_rank(inst, sol, i)
-        if rank is not None and rank <= app.rank:
-            continue
-        if app.is_paired:
-            j, k = app.target
-            if not (_college_full_of_better(inst, admitted, lowest, j, app.score_at(j))
-                    or _college_full_of_better(inst, admitted, lowest, k,
-                                               app.score_at(k))):
-                violations.append(Violation(
-                    "paired_block",
-                    {"applicant": inst.applicants[i],
-                     "pair": [inst.colleges[j].id, inst.colleges[k].id]},
-                    "neither college is full of better admits"))
-        else:
-            j = app.target
-            if not _college_full_of_better(inst, admitted, lowest, j, app.score):
-                violations.append(Violation(
-                    "blocking_pair",
-                    {"applicant": inst.applicants[i], "college": inst.colleges[j].id},
-                    "college is not full of better admits"))
-    return _verdict(violations)
 
 
 def _enumerate_assignments(inst: Instance, allow_pairs: bool):

@@ -92,13 +92,14 @@ def classical_with(objective: str):
 
 # Every builder and mode, keyed by a label. test_builders.py pins the
 # formulation each one emits on every fixture (builder_pins.json) and the
-# search that solves it (search_pins.json). Three more pin files sit beside
+# search that solves it (search_pins.json). Four more pin files sit beside
 # them: oracle_pins.json (test_oracle.py, report digests of seeded markets),
-# schema_pins.json (test_instance.py, schema error paths and messages) and
-# instance_pins.json (test_instance.py, instance digests and the first
-# InvariantError of documents breaking several rules); the docstring of the
-# test that reads each gives the one-off command that captured it. No test
-# rewrites a pin file.
+# oracle_path_pins.json (test_oracle.py, score-limit and grouped lower-quota
+# report digests), schema_pins.json (test_instance.py, schema error paths
+# and messages) and instance_pins.json (test_instance.py, instance digests
+# and the first InvariantError of documents breaking several rules); the
+# docstring of the test that reads each gives the one-off command that
+# captured it. No test rewrites a pin file.
 BUILDS = {
     "classical": build_classical,
     "classical:ties": partial(build_classical, ties=True),

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -498,3 +499,49 @@ def test_optimal_reports_do_not_depend_on_caps(capsys, command):
         assert short["status"] != "optimal", path.stem
         proved += 1
     assert proved >= 4
+
+
+def test_unverified_audit_failure_lists_the_breach(capsys, monkeypatch):
+    # a broken extraction over-fills c2 (two seats) with every applicant
+    # that lists it; the quota audit must exit 3 and report the breach
+    import stableadmit.cli as cli
+    inst = cli.parse_instance(fixture_text("I8"))
+    c2 = inst.college_index("c2")
+    real = cli.extract_solution
+
+    def overfilled(model, assignment):
+        sol = real(model, assignment)
+        matching = dict(sol.matching)
+        for app in inst.seats_at[c2]:
+            matching[app.applicant] = c2
+        return replace(sol, matching=matching,
+                       open_colleges={**sol.open_colleges, c2: True})
+
+    monkeypatch.setattr(cli, "extract_solution", overfilled)
+    code, doc, err = run(capsys, "solve", str(fixture_path("I8")),
+                         "--model", "combined", "--mode", "lower",
+                         "--group-policy", "drop-with-lex-objective")
+    assert code == 3
+    assert doc["verdict"] == "unverified"
+    # moving a1 and a3 off c1 also leaves that open college short
+    assert doc["violations"] == [
+        {"kind": "quota_breach", "subject": {"college": "c1"},
+         "detail": "open college admits 0, lower quota 1"},
+        {"kind": "quota_breach", "subject": {"college": "c2"},
+         "detail": "4 admitted with 2 seats"}]
+    assert err == ("error: solver result fails the oracle audit: open college "
+                   "admits 0, lower quota 1; 4 admitted with 2 seats\n")
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="the search recurses once per branching decision")
+def test_deep_nested_common_solve_finishes(capsys, tmp_path):
+    # a near-straight dive of more than a thousand levels
+    market = generate(GenConfig(n=200, m=10, seed=1, list_range=(1, 3),
+                                max_score=400, upper_range=(1000, 1000),
+                                topology="nested", set_count=3))
+    path = tmp_path / "deep.json"
+    path.write_text(serialize_instance(market), encoding="utf-8")
+    code, doc, _ = run(capsys, "solve", str(path), "--model", "common")
+    assert code == 0
+    assert doc["verdict"] == "stable"

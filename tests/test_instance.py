@@ -610,6 +610,29 @@ def test_single_college_sets_parse_in_linear_time():
     assert len(inst.common_quota_sets) == sets
 
 
+def test_overlapping_sets_parse_in_linear_time():
+    """8,000 applicants, each with equal scores at c0 and c1, and 800 sets
+    {c0, c1, c_k}: only applicants holding two different scores can break
+    a set, so the equal-score check must not scan every applicant once
+    per set."""
+    n, sets = 8000, 800
+    m = sets + 2
+    doc = {
+        "max_score": n,
+        "colleges": [{"id": f"c{j}", "upper": n} for j in range(m)],
+        "applicants": [{"id": f"a{i}", "list": [
+            {"rank": 1, "college": "c0", "score": i},
+            {"rank": 2, "college": "c1", "score": i}]} for i in range(n)],
+        "common_quotas": [{"id": f"p{k}", "members": ["c0", "c1", f"c{k + 2}"],
+                           "upper": 1} for k in range(sets)],
+    }
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    inst = parse_instance(text)
+    assert time.perf_counter() - start < 0.6
+    assert len(inst.common_quota_sets) == sets
+
+
 @pytest.mark.parametrize("bad", [True, 2.5])
 @pytest.mark.parametrize("field", ["max_score", "college upper",
                                    "college lower", "rank", "score",

@@ -381,3 +381,111 @@ def test_oracle_reports_are_pinned():
     pins = json.loads((Path(__file__).parent / "oracle_pins.json")
                       .read_text(encoding="utf-8"))
     assert report_digests() == pins
+
+
+# Path pins: the two report paths oracle_pins.json does not reach. The
+# score-limit reports audit the GS cutoff vectors of both sides and every
+# single-cutoff step of one up or down; the grouped lower-quota reports add
+# one or two LowerGroups to the seeded lower markets, which the generator
+# never emits, and audit each base matching under all-open, all-closed and
+# mixed flags with the usual perturbations.
+SCORELIMIT_PIN_MARKETS = {
+    "strict": PIN_MARKETS["classical"],
+    "ties": PIN_MARKETS["weak_ties"],
+}
+LOWER_GROUPS = {
+    "one_group": (LowerGroup("g1", (0, 1), 2),),
+    "two_groups": (LowerGroup("g1", (0, 1), 2), LowerGroup("g2", (2,), 1)),
+}
+
+
+def _scorelimit_trials(inst):
+    top = inst.max_score + 1
+    for side in ("applicant", "college"):
+        limits = gs_scorelimits(inst, side)[1].limits
+        yield f"{side} as_is", limits
+        for j in range(inst.m):
+            for step in (-1, 1):
+                if 0 <= limits[j] + step <= top:
+                    yield f"{side} c{j}{step:+d}", {**limits, j: limits[j] + step}
+
+
+def _grouped_lower_trials(plain, inst, rng):
+    """Base solutions come from the market without groups, which the
+    closing heuristic refuses."""
+    flag_sets = {
+        "all_open": {j: True for j in range(inst.m)},
+        "all_closed": {j: False for j in range(inst.m)},
+        "mixed": {j: j % 2 == 0 for j in range(inst.m)},
+    }
+    for base, sol in _base_solutions("lower", plain).items():
+        for fname, flags in flag_sets.items():
+            flagged = replace(sol, open_colleges=flags)
+            for how, trial in _perturbations(inst, flagged, rng).items():
+                yield f"{base} {fname} {how}", trial
+
+
+def path_report_digests() -> dict[str, str]:
+    """sha256 of every score-limit and grouped lower-quota report JSON,
+    by label."""
+    def digest(report):
+        body = json.dumps(report.to_report(), sort_keys=True)
+        return hashlib.sha256(body.encode()).hexdigest()
+
+    digests = {}
+    for market, params in SCORELIMIT_PIN_MARKETS.items():
+        for seed in PIN_SEEDS:
+            inst = generate(GenConfig(seed=seed, **params))
+            for how, limits in _scorelimit_trials(inst):
+                sol = Solution(matching={}, score_limits=limits)
+                digests[f"scorelimits_H {market} seed={seed} {how}"] = \
+                    digest(check(inst, sol, "scorelimits_H"))
+    for groups_name, groups in LOWER_GROUPS.items():
+        for seed in PIN_SEEDS:
+            plain = generate(GenConfig(seed=seed, **PIN_MARKETS["lower"]))
+            inst = replace(plain, lower_quota_groups=groups)
+            inst.validate()
+            rng = random.Random(seed)
+            for how, trial in _grouped_lower_trials(plain, inst, rng):
+                digests[f"lower {groups_name} seed={seed} {how}"] = \
+                    digest(check(inst, trial, "lower"))
+    return digests
+
+
+def test_oracle_path_reports_are_pinned():
+    """Every score-limit and grouped lower-quota report matches the digest
+    captured once, before the matching variants shared one feasibility
+    pass and one blocking rule, with
+
+      PYTHONPATH=src:tests python -c "import json, test_oracle as t; \\
+        print(json.dumps(t.path_report_digests(), indent=1, sort_keys=True))" \\
+        > tests/oracle_path_pins.json
+    """
+    pins = json.loads((Path(__file__).parent / "oracle_path_pins.json")
+                      .read_text(encoding="utf-8"))
+    assert path_report_digests() == pins
+
+
+MATCHING_VARIANTS = ("classical", "weak_ties", "lower", "common", "paired")
+
+
+def test_matching_variants_agree_where_they_coincide():
+    """On strict markets without pairs, quota sets, ties or lower quotas,
+    the five matching variants all reduce to classical stability, so each
+    gives the same verdict on DA outcomes of both sides and on every
+    perturbation of them."""
+    checked = 0
+    for seed in range(120):
+        inst = generate(GenConfig(n=8, m=3, seed=seed, list_range=(1, 3),
+                                  max_score=30, upper_range=(1, 3)))
+        assert not (inst.has_ties or inst.has_pairs or inst.has_lower_quotas
+                    or inst.common_quota_sets)
+        rng = random.Random(seed)
+        for side in ("applicant", "college"):
+            sol = da(inst, side).to_solution(inst)
+            for how, trial in _perturbations(inst, sol, rng).items():
+                verdicts = {v: check(inst, trial, v).verdict
+                            for v in MATCHING_VARIANTS}
+                assert len(set(verdicts.values())) == 1, (seed, side, how, verdicts)
+                checked += 1
+    assert checked >= 1000
