@@ -130,18 +130,17 @@ def _add_pairwise_stable(model: LinearModel, inst: Instance, nm: _Names,
                          ties: bool = False, *, open_relaxed: bool = False) -> None:
     # blocked unless matched at least as well, or the college is filled by
     # strictly better scores (ties variant: at-least-as-good scores); with
-    # open flags in play the row is waived at closed colleges
+    # open flags in play the row is waived at closed colleges; both callers
+    # refuse pairs, so nm.at[j] holds one simple application per applicant
     tag = ("lower_stable_open" if open_relaxed
            else "stable_ties" if ties else "stable")
-    holders = [[(inst.score_of(h, j), f"x_{h}_{j}") for h in applicants]
-               for j, applicants in enumerate(inst.applicants_at)]
     for e in nm.entries:
         j, score = e.app.target, e.app.score
         u = inst.colleges[j].upper
         coeffs = dict.fromkeys(nm.better(e), u)
-        for sh, name in holders[j]:
-            if sh > score or (ties and sh >= score):
-                coeffs[name] = coeffs.get(name, 0) + 1
+        for h in nm.at[j]:
+            if h.app.score > score or (ties and h.app.score >= score):
+                coeffs[h.x] = coeffs.get(h.x, 0) + 1
         rhs = u
         if open_relaxed:
             coeffs[f"o_{j}"] = -u
@@ -658,7 +657,6 @@ def decode_solution(model: LinearModel, values: dict[str, int]) -> Solution:
     set_limits: dict[str, int] = {}
     open_colleges: dict[int, bool] = {}
     open_groups: dict[str, bool] = {}
-    aux: dict[str, int] = {}
     for var in model.variables.values():
         if var.name not in values:
             continue
@@ -676,11 +674,9 @@ def decode_solution(model: LinearModel, values: dict[str, int]) -> Solution:
             open_colleges[var.key] = bool(value)
         elif var.role == "group_open":
             open_groups[var.key] = bool(value)
-        else:
-            aux[var.name] = value
     return Solution(matching=matching, score_limits=score_limits,
                     set_limits=set_limits, open_colleges=open_colleges,
-                    open_groups=open_groups, aux=aux)
+                    open_groups=open_groups)
 
 
 def extract_solution(model: LinearModel, assignment: dict[str, int]) -> Solution:

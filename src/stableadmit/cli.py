@@ -40,6 +40,7 @@ from .linmodel import LinearModel, ModelError
 from .oracle import ShapeError, SizeGuardError, check, quota_breaches
 from .preprocess import apply_fixings, fix_iterate
 from .solution import Solution, solution_from_document, solution_to_document
+# solve_lex stays imported because the traced benchmark patches it here
 from .solver import SolverError, enumerate_feasible, solve, solve_lex
 
 MODELS = ("classical", "scorelimits", "lower", "common", "paired", "combined")
@@ -306,8 +307,7 @@ def _cmd_solve(args, argv: list[str]) -> int:
         fixing = fix_iterate(inst)
         apply_fixings(model, fixing)
         preprocess_report = fixing.to_report(inst)
-    runner = solve_lex if len(model.objectives) > 1 else solve
-    res = runner(model, node_cap=args.node_cap, time_cap=args.time_cap)
+    res = solve(model, node_cap=args.node_cap, time_cap=args.time_cap)
     if res.assignment is None:
         _emit(_solve_report(argv, inst, label, res.status, None, [], None, [],
                             preprocess_report, res.elapsed, res.nodes))
@@ -379,8 +379,7 @@ def _cmd_check(args, argv: list[str]) -> int:
         "command": "stableadmit " + " ".join(argv),
         "instance_digest": instance_digest(inst),
         "variant": variant,
-        "verdict": report.verdict,
-        "violations": [v.to_report() for v in report.violations],
+        **report.to_report(),
     })
     return 0
 

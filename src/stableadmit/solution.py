@@ -17,7 +17,7 @@ class Solution:
     of college indices, or None. score_limits / set_limits hold cutoff
     values per college index / quota-set id where the producing model used
     them. open_colleges marks open (True) and closed (False) colleges for
-    lower-quota variants. aux keeps raw indicator values by variable name.
+    lower-quota variants.
     """
 
     matching: dict[int, Target | None]
@@ -25,7 +25,6 @@ class Solution:
     set_limits: dict[str, int] = field(default_factory=dict)
     open_colleges: dict[int, bool] = field(default_factory=dict)
     open_groups: dict[str, bool] = field(default_factory=dict)
-    aux: dict[str, int] = field(default_factory=dict)
 
     def intake(self, inst: Instance) -> list[int]:
         """Seats taken per college; a paired match takes one seat at each."""

@@ -1,29 +1,31 @@
 """Exact search over bounded integer models.
 
 One depth-first driver, _search, with integer bound propagation at every
-node. Each node carries, beside its bounds lo and hi, the minimum activity
-of every row (act), updated by |c| times the move whenever a bound that
-the row reads moves (incremental bounds consistency after Harvey and
-Schimpf). A row is queued only when its slack falls below its reach, the
-most any of its terms could need, so a visited row reads its slack in
-O(1) and scans its terms once. The fixpoint does not depend on the order
-rows are visited in.
+node: a loop over a stack of open choice points, so no recursion limit
+bounds the depth. A choice point makes its values lazily, each on a copy
+of its node's arrays and the last on the arrays themselves. A passed node
+or time cap sets the engine's capped flag. Each node carries, beside its
+bounds lo and hi, the minimum activity of every row (act), updated by |c|
+times the move whenever a bound that the row reads moves (incremental
+bounds consistency after Harvey and Schimpf). A row is queued only when
+its slack falls below its reach, the most any of its terms could need, so
+a visited row reads its slack in O(1) and scans its terms once. The
+fixpoint does not depend on the order rows are visited in.
 
 Branching is most-constrained-first (smallest domain, then declaration
 order) with values tried in ascending order, so node counts and reported
-solutions are a pure function of the model. Callers pick the mode
-through callbacks, which see a node's lo, hi and act: a leaf callback
-runs where no candidate variable is left unfixed and may end the search,
-and an optional prune callback cuts nodes after propagation. solve
-minimises each objective in turn on one engine (a max objective through
-its negation; a model without one gets a single constant stage, which
-ends at the first feasible leaf) by an incumbent leaf and a bound prune,
-and freezes each optimum as two rows before the next stage, so the node
-and time caps span all stages. enumerate_feasible
-branches over the projection variables only, and its leaf runs the same
-driver again from the leaf's own bounds and activities to find one
-completion. Every accepted leaf is re-verified against the original
-constraints, independently of the propagation rows.
+solutions are a pure function of the model. Callers pick the mode through
+callbacks, which see a node's lo, hi and act: a leaf callback runs where
+no candidate variable is left unfixed and may end the search, and an
+optional prune callback cuts nodes after propagation. solve minimises each
+objective in turn on one engine (a max objective through its negation; a
+model without one gets a single constant stage, which ends at the first
+feasible leaf) by an incumbent leaf and a bound prune, and freezes each
+optimum as two rows before the next stage, so the node and time caps span
+all stages. enumerate_feasible branches over the projection variables
+only, and its leaf runs the same driver again from the leaf's own bounds
+and activities to find one completion. Every accepted leaf is re-verified
+against the original constraints, independently of the propagation rows.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ from .linmodel import LinearModel, ModelError, Objective, assignment_satisfies
 
 class SolverError(RuntimeError):
     """Search and model checking disagree; indicates an internal bug."""
-
-
-class _Stop(Exception):
-    """Node or time cap reached."""
 
 
 @dataclass
@@ -92,6 +90,7 @@ class _Engine:
         self.deadline = None if time_cap is None else time.monotonic() + time_cap
         self.nodes = 0
         self.row_visits = 0
+        self.capped = False
 
     def add_rows(self, coeffs: Sequence[tuple[str, int]], rhs: int,
                  sense: str) -> None:
@@ -168,12 +167,13 @@ class _Engine:
         lo[v] = hi[v] = value
         return seed
 
-    def tick(self) -> None:
+    def tick(self) -> bool:
+        """Count a node; False, with capped set, once a cap is passed."""
         self.nodes += 1
-        if self.node_cap is not None and self.nodes > self.node_cap:
-            raise _Stop
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Stop
+        if (self.node_cap is not None and self.nodes > self.node_cap) or (
+                self.deadline is not None and time.monotonic() > self.deadline):
+            self.capped = True
+        return not self.capped
 
     def propagate(self, lo: list[int], hi: list[int], act: list[int],
                   seed) -> bool:
@@ -253,44 +253,42 @@ Callback = Callable[[list[int], list[int], list[int]], bool]
 def _search(eng: _Engine, lo: list[int], hi: list[int], act: list[int],
             seed, leaf: Callback, prune: Callback | None = None,
             candidates: Sequence[int] | None = None) -> bool:
-    """Depth-first search below one node; True ends the whole search.
+    """Depth-first search below one node; True when a leaf ended it, False
+    when the tree ran out or a cap cut it short (eng.capped).
 
     act: the rows' minimum activities over [lo, hi]; seed: rows to
-    propagate at this node. prune(lo, hi, act) True cuts the node after
+    propagate at this node. prune(lo, hi, act) True cuts a node after
     propagation. leaf(lo, hi, act) runs where no candidate variable
-    (default: any variable) is left unfixed, and its return value is
-    passed up.
+    (default: any variable) is left unfixed, and True from it ends the
+    search. An open choice point is [lo, hi, act, v, next value].
     """
-    eng.tick()
-    if not eng.propagate(lo, hi, act, seed):
-        return False
-    if prune is not None and prune(lo, hi, act):
-        return False
-    v = eng.pick(lo, hi, candidates)
-    if v is None:
-        return leaf(lo, hi, act)
-    for value in range(lo[v], hi[v] + 1):
-        lo2, hi2, act2 = lo.copy(), hi.copy(), act.copy()
-        seed2 = eng.fix(lo2, hi2, act2, v, value)
-        if _search(eng, lo2, hi2, act2, seed2, leaf, prune, candidates):
-            return True
+    stack: list[list] = []
+    while eng.tick():
+        if eng.propagate(lo, hi, act, seed) and (
+                prune is None or not prune(lo, hi, act)):
+            v = eng.pick(lo, hi, candidates)
+            if v is None:
+                if leaf(lo, hi, act):
+                    return True
+            else:
+                stack.append([lo, hi, act, v, lo[v]])
+        if not stack:
+            return False
+        point = stack[-1]
+        lo, hi, act, v, value = point
+        if value < hi[v]:
+            point[4] = value + 1
+            lo, hi, act = lo.copy(), hi.copy(), act.copy()
+        else:
+            stack.pop()
+        seed = eng.fix(lo, hi, act, v, value)
     return False
 
 
-def _root(eng: _Engine, leaf: Callback, prune: Callback | None = None,
-          candidates: Sequence[int] | None = None) -> bool:
-    """Search from the model's own bounds; False when a cap cut it short."""
-    try:
-        _search(eng, *eng.root(), leaf, prune, candidates)
-    except _Stop:
-        return False
-    return True
-
-
 def _minimize(eng: _Engine, terms: tuple[tuple[int, int], ...]
-              ) -> tuple[bool, dict[str, int] | None, int | None]:
-    """Least value of sum(c * var[v]) over the engine's rows, as
-    (complete, best assignment, its value)."""
+              ) -> tuple[dict[str, int] | None, int | None]:
+    """Least value of sum(c * var[v]) over the engine's rows, as (best
+    assignment, its value); proven least unless eng.capped."""
     best: dict[str, int] | None = None
     best_val: int | None = None
 
@@ -306,8 +304,8 @@ def _minimize(eng: _Engine, terms: tuple[tuple[int, int], ...]
         return best_val is not None and sum(
             c * (lo[v] if c > 0 else hi[v]) for v, c in terms) >= best_val
 
-    complete = _root(eng, incumbent, prune if terms else None)
-    return complete, best, best_val
+    _search(eng, *eng.root(), incumbent, prune if terms else None)
+    return best, best_val
 
 
 def solve(model: LinearModel, node_cap: int | None = None,
@@ -330,14 +328,15 @@ def solve(model: LinearModel, node_cap: int | None = None,
         sign = 1 if obj.sense == "min" else -1
         coeffs = [(v, sign * c) for v, c in obj.coeffs]
         terms = tuple((eng.index[v], c) for v, c in coeffs if c != 0)
-        complete, assignment, value = _minimize(eng, terms)
+        assignment, value = _minimize(eng, terms)
         if assignment is None:
             break
         best = assignment
         values.append(sign * value)
-        if not complete:
+        if eng.capped:
             break
         eng.add_rows(coeffs, value, "==")
+    complete = not eng.capped
     if best is None:
         status = "infeasible" if complete else "limit_reached"
     else:
@@ -375,23 +374,23 @@ def enumerate_feasible(model: LinearModel, projection: Sequence[str],
     eng = _Engine(model, node_cap, time_cap)
     proj_idx = [eng.index[n] for n in projection]
     found: list[tuple[int, ...]] = []
-    capped = False
 
     def verified(lo, hi, act) -> bool:
         eng.leaf_assignment(lo)
         return True
 
     def keep(lo, hi, act) -> bool:
-        nonlocal capped
+        """True, which ends the listing, only when a cap cuts it short."""
+        # the completion may reuse these lists, but a fixed variable never moves
         if not _search(eng, lo, hi, act, (), verified):
-            return False
+            return eng.capped
         if cap is not None and len(found) >= cap:
-            capped = True
             return True
         found.append(tuple(lo[v] for v in proj_idx))
         return False
 
-    truncated = not _root(eng, keep, candidates=proj_idx) or capped
+    truncated = (_search(eng, *eng.root(), keep, candidates=proj_idx)
+                 or eng.capped)
     name_order = sorted(range(len(projection)), key=lambda k: projection[k])
     found.sort(key=lambda tup: tuple(tup[k] for k in name_order))
     projections = [dict(zip(projection, tup)) for tup in found]

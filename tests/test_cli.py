@@ -533,15 +533,25 @@ def test_unverified_audit_failure_lists_the_breach(capsys, monkeypatch):
                    "admits 0, lower quota 1; 4 admitted with 2 seats\n")
 
 
-@pytest.mark.xfail(raises=RecursionError, strict=True,
-                   reason="the search recurses once per branching decision")
-def test_deep_nested_common_solve_finishes(capsys, tmp_path):
+def deep_nested_market(tmp_path) -> str:
     # a near-straight dive of more than a thousand levels
     market = generate(GenConfig(n=200, m=10, seed=1, list_range=(1, 3),
                                 max_score=400, upper_range=(1000, 1000),
                                 topology="nested", set_count=3))
     path = tmp_path / "deep.json"
     path.write_text(serialize_instance(market), encoding="utf-8")
-    code, doc, _ = run(capsys, "solve", str(path), "--model", "common")
+    return str(path)
+
+
+def test_deep_nested_common_solve_finishes(capsys, tmp_path):
+    code, doc, _ = run(capsys, "solve", deep_nested_market(tmp_path),
+                       "--model", "common")
     assert code == 0
     assert doc["verdict"] == "stable"
+
+
+def test_deep_nested_common_enumerate_finishes(capsys, tmp_path):
+    code, doc, _ = run(capsys, "enumerate", deep_nested_market(tmp_path),
+                       "--model", "common", "--cap", "1")
+    assert code == 0
+    assert doc["count"] == 1

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -157,6 +159,50 @@ def test_enumerate_cap_truncates():
                              cap=2)
     assert res.truncated
     assert len(res.projections) == 2
+
+
+def test_dive_deeper_than_the_recursion_limit():
+    k = int(1.5 * sys.getrecursionlimit())
+    model = LinearModel()
+    for i in range(k):
+        model.add_var(f"x{i}", 0, 1)
+    model.add_constraint("slack", "", {f"x{i}": 1 for i in range(k)}, "<=", k)
+    res = solve(model)
+    assert res.status == "feasible"
+    assert res.nodes == k + 1
+    res = enumerate_feasible(model, ["x0", "x1"])
+    assert not res.truncated
+    assert len(res.projections) == 4
+
+
+def test_wide_domain_values_are_made_lazily():
+    # one choice point over a million values holds one pending copy
+    model = LinearModel()
+    model.add_var("y", 0, 10**6)
+    model.add_var("x", 0, 1)
+    model.add_objective("max", {"y": 1})
+    tracemalloc.start()
+    try:
+        res = solve(model, node_cap=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "feasible" and res.nodes == 51
+    assert res.assignment == {"y": 47, "x": 0}
+    assert peak < 2**20
+
+
+def test_cap_inside_a_completion_ends_the_listing():
+    model = LinearModel()
+    model.add_var("x", 0, 2)
+    model.add_var("y", 0, 1)
+    model.add_var("z", 0, 1)
+    # nodes: root, x=0, its completion root, y=0, z=0, x=1, its completion
+    # root; the eighth, y=0 below x=1, passes the cap
+    res = enumerate_feasible(model, ["x"], node_cap=7)
+    assert res.truncated
+    assert res.projections == [{"x": 0}]
+    assert res.nodes == 8
 
 
 def test_enumerate_order_is_sorted_by_name_then_value():
