@@ -13,6 +13,12 @@ build_scorelimits, build_lower and build_common are presets over it,
 as the strict mode is over build_paired; presets keep their own
 refusals and model names.
 
+Shared upper quotas and the paired reduction both run on seat pools,
+each a plain record naming the colleges whose seats it counts. One
+membership rule places every application: it sits in each pool holding
+one of its colleges, at its score there, except that a college's own
+pool skips paired applications.
+
 Each build formats its variable names and row subjects once and every
 row reads them from there, so the work of a build grows with the rows
 and nonzeros it emits, each of which LinearModel checks.
@@ -26,7 +32,7 @@ are integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .instance import Application, Instance
 from .linmodel import LinearModel, ModelError, assignment_satisfies
@@ -347,21 +353,24 @@ class _SeatPool:
     filled_role: str          # filled | set_filled
     key: object
     upper: int
-    intake: tuple[str, ...]   # assignment variables the pool counts
+    members: tuple[int, ...]  # colleges whose seats the pool counts
 
 
 def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
-                      pools: list[_SeatPool],
-                      containing: Callable[[Application], list[tuple[int, int]]],
-                      *, open_relaxed: bool = False,
+                      pools: list[_SeatPool], *, open_relaxed: bool = False,
                       with_flags: bool = True) -> None:
     """Shared-pool cutoff machinery.
 
-    containing maps an application to the (pool index, score) pairs of
-    every pool that could reject it. A rejected application must fail
-    the cutoff of at least one such pool; per-pool escape variables let
-    it ignore the others. With open flags in play the colleges' own
-    pools carry no quota row; the lower-quota rows cap them instead.
+    One membership rule: an application sits in every pool holding one
+    of its colleges, at its score there, except that a college's own
+    pool skips paired applications. A pair's two colleges never share a
+    pool (quota sets refuse pairs and union pools hold one college
+    each), so no application sits in a pool twice. Each pool's intake
+    is what sits in it, in application order. A rejected application
+    must fail the cutoff of at least one pool it sits in; per-pool
+    escape variables let it ignore the others. With open flags in play
+    the colleges' own pools carry no quota row; the lower-quota rows cap
+    them instead.
     """
     top = inst.max_score + 1
     for pool in pools:
@@ -369,7 +378,20 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
     if with_flags:
         for pool in pools:
             model.add_var(pool.filled, 0, 1, role=pool.filled_role, key=pool.key)
-    memberships = [containing(e.app) for e in nm.entries]
+    holding: list[list[int]] = [[] for _ in range(inst.m)]
+    for si, pool in enumerate(pools):
+        for j in pool.members:
+            holding[j].append(si)
+    intake: list[list[str]] = [[] for _ in pools]
+    memberships: list[list[tuple[int, int]]] = []
+    for e in nm.entries:
+        app = e.app
+        within = [(si, app.score_at(j)) for j in app.colleges()
+                  for si in holding[j]
+                  if not (app.is_paired and pools[si].cap_tag == "college_feasible")]
+        for si, _score in within:
+            intake[si].append(e.x)
+        memberships.append(within)
     used: dict[tuple[int, int], str] = {}
     for e, within in zip(nm.entries, memberships):
         i = e.app.applicant
@@ -377,11 +399,11 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
             used.setdefault((i, si), f"esc_{i}_{pools[si].suffix}")
     for (i, si), name in sorted(used.items()):
         model.add_var(name, 0, 1, role="escape", key=(i, pools[si].label))
-    for pool in pools:
+    for pool, xs in zip(pools, intake):
         if pool.cap_tag == "college_feasible" and open_relaxed:
             continue
         model.add_constraint(pool.cap_tag, pool.label,
-                             {x: 1 for x in pool.intake}, "<=", pool.upper)
+                             dict.fromkeys(xs, 1), "<=", pool.upper)
     for e, within in zip(nm.entries, memberships):
         for si, score in within:
             pool = pools[si]
@@ -407,8 +429,8 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
         model.add_constraint("common_escape_budget", e.subject,
                              coeffs, "<=", len(within) - 1)
     if with_flags:
-        for pool in pools:
-            coeffs = {x: 1 for x in pool.intake}
+        for pool, xs in zip(pools, intake):
+            coeffs = dict.fromkeys(xs, 1)
             coeffs[pool.filled] = -pool.upper
             model.add_constraint("common_filled_flag", pool.label, coeffs, ">=", 0)
         for pool in pools:
@@ -420,30 +442,18 @@ def _college_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
     """Each college's own pool over its simple applications."""
     return [
         _SeatPool("college_feasible", c.id, f"c{j}", nm.limit[j], f"f_{j}",
-                  "limit", "filled", j, c.upper,
-                  tuple(e.x for e in nm.at[j] if not e.app.is_paired))
+                  "limit", "filled", j, c.upper, (j,))
         for j, c in enumerate(inst.colleges)
     ]
 
 
-def _common_pools(inst: Instance, nm: _Names) -> tuple[
-        list[_SeatPool], Callable[[Application], list[tuple[int, int]]]]:
-    pools = _college_pools(inst, nm)
-    for si, qs in enumerate(inst.common_quota_sets):
-        members = set(qs.members)
-        pools.append(_SeatPool(
-            "common_feasible", qs.id, f"s{si}", f"tset_{si}", f"fset_{si}",
-            "set_limit", "set_filled", qs.id, qs.upper,
-            tuple(e.x for e in nm.entries if e.app.target in members)))
-    pools_of: list[list[int]] = [[j] for j in range(inst.m)]
-    for si, qs in enumerate(inst.common_quota_sets):
-        for j in qs.members:
-            pools_of[j].append(inst.m + si)
-
-    def containing(app: Application) -> list[tuple[int, int]]:
-        return [(si, app.score) for si in pools_of[app.target]]
-
-    return pools, containing
+def _common_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
+    return _college_pools(inst, nm) + [
+        _SeatPool("common_feasible", qs.id, f"s{si}", f"tset_{si}",
+                  f"fset_{si}", "set_limit", "set_filled", qs.id, qs.upper,
+                  qs.members)
+        for si, qs in enumerate(inst.common_quota_sets)
+    ]
 
 
 def build_common(inst: Instance) -> LinearModel:
@@ -509,31 +519,16 @@ def build_paired(inst: Instance) -> LinearModel:
     return model
 
 
-def _paired_reduction_pools(inst: Instance, nm: _Names) -> tuple[
-        list[_SeatPool], Callable[[Application], list[tuple[int, int]]]]:
+def _paired_reduction_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
     touched = sorted({j for a in inst.applications if a.is_paired
                       for j in a.colleges()})
     pools = _college_pools(inst, nm)
-    union_index: dict[int, int] = {}
     for j in touched:
         label = f"all({inst.colleges[j].id})"
-        union_index[j] = len(pools)
         pools.append(_SeatPool(
             "common_feasible", label, f"u{j}", f"tuni_{j}", f"funi_{j}",
-            "set_limit", "set_filled", label, inst.colleges[j].upper,
-            tuple(e.x for e in nm.at[j])))
-
-    def containing(app: Application) -> list[tuple[int, int]]:
-        if app.is_paired:
-            j, k = app.target
-            return [(union_index[j], app.score_at(j)),
-                    (union_index[k], app.score_at(k))]
-        out = [(app.target, app.score)]
-        if app.target in union_index:
-            out.append((union_index[app.target], app.score))
-        return out
-
-    return pools, containing
+            "set_limit", "set_filled", label, inst.colleges[j].upper, (j,)))
+    return pools
 
 
 def build_paired_via_common(inst: Instance) -> LinearModel:
@@ -551,8 +546,7 @@ def build_paired_via_common(inst: Instance) -> LinearModel:
     nm = _Names(inst)
     _add_assignment(model, nm)
     _add_applicant_feasible(model, inst, nm)
-    pools, containing = _paired_reduction_pools(inst, nm)
-    _emit_common_rows(model, inst, nm, pools, containing)
+    _emit_common_rows(model, inst, nm, _paired_reduction_pools(inst, nm))
     return model
 
 
@@ -598,8 +592,7 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
         if not lower and not common:
             _add_college_feasible(model, inst, nm)
         if common:
-            pools, containing = _common_pools(inst, nm)
-            _emit_common_rows(model, inst, nm, pools, containing,
+            _emit_common_rows(model, inst, nm, _common_pools(inst, nm),
                               open_relaxed=lower, with_flags=not ties)
         else:
             _add_limit_vars(model, inst, nm)
@@ -641,12 +634,8 @@ def add_named_objective(inst: Instance, model: LinearModel, name: str) -> None:
 
 def rank_objective(inst: Instance, model: LinearModel) -> dict[str, int]:
     """Objective coefficients scoring each admission by its rank."""
-    coeffs = {}
-    for app in inst.applications:
-        name = _xname(app)
-        if name in model.variables:
-            coeffs[name] = app.rank
-    return coeffs
+    rank = {(app.applicant, app.target): app.rank for app in inst.applications}
+    return {v.name: rank[v.key] for v in model.vars_by_role("assign")}
 
 
 def decode_solution(model: LinearModel, values: dict[str, int]) -> Solution:

@@ -41,7 +41,8 @@ from .oracle import ShapeError, SizeGuardError, check, quota_breaches
 from .preprocess import apply_fixings, fix_iterate
 from .solution import Solution, solution_from_document, solution_to_document
 # solve_lex stays imported because the traced benchmark patches it here
-from .solver import SolverError, enumerate_feasible, solve, solve_lex
+from .solver import (SolveResult, SolverError, enumerate_feasible, solve,
+                     solve_lex)
 
 MODELS = ("classical", "scorelimits", "lower", "common", "paired", "combined")
 OBJECTIVES = ("applicant-optimal", "applicant-pessimal",
@@ -292,6 +293,32 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _solve_audited(inst: Instance, model: LinearModel, plan: str, args
+                   ) -> tuple[SolveResult, Solution | None, str | None, list, int]:
+    """Solve under the caps in args, extract and audit by plan: returns
+    (result, solution, verdict, violations, exit code) and prints the
+    error line of exit 1 (cap hit first) and exit 3 (audit failed)."""
+    res = solve(model, node_cap=args.node_cap, time_cap=args.time_cap)
+    if res.assignment is None:
+        if res.status == "infeasible":
+            return res, None, None, [], 2
+        print("error: search hit its cap before finding a solution",
+              file=sys.stderr)
+        return res, None, None, [], 1
+    sol = extract_solution(model, res.assignment)
+    if plan == "unverified":
+        verdict, violations = "unverified", quota_breaches(inst, sol)
+    else:
+        report = check(inst, sol, plan)
+        verdict, violations = report.verdict, report.violations
+    if not violations:
+        return res, sol, verdict, violations, 0
+    detail = "; ".join(v.detail for v in violations)
+    print(f"error: solver result fails the oracle audit: {detail}",
+          file=sys.stderr)
+    return res, sol, verdict, violations, 3
+
+
 def _cmd_solve(args, argv: list[str]) -> int:
     inst = _load_instance(args.instance)
     model, label, plan = _build(inst, args.model, args.mode, args.group_policy)
@@ -307,30 +334,11 @@ def _cmd_solve(args, argv: list[str]) -> int:
         fixing = fix_iterate(inst)
         apply_fixings(model, fixing)
         preprocess_report = fixing.to_report(inst)
-    res = solve(model, node_cap=args.node_cap, time_cap=args.time_cap)
-    if res.assignment is None:
-        _emit(_solve_report(argv, inst, label, res.status, None, [], None, [],
-                            preprocess_report, res.elapsed, res.nodes))
-        if res.status == "infeasible":
-            return 2
-        print("error: search hit its cap before finding a solution",
-              file=sys.stderr)
-        return 1
-    sol = extract_solution(model, res.assignment)
-    if plan == "unverified":
-        verdict, violations = "unverified", quota_breaches(inst, sol)
-    else:
-        report = check(inst, sol, plan)
-        verdict, violations = report.verdict, report.violations
+    res, sol, verdict, violations, code = _solve_audited(inst, model, plan, args)
     _emit(_solve_report(argv, inst, label, res.status, sol,
                         res.objective_values, verdict, violations,
                         preprocess_report, res.elapsed, res.nodes))
-    if violations:
-        detail = "; ".join(v.detail for v in violations)
-        print(f"error: solver result fails the oracle audit: {detail}",
-              file=sys.stderr)
-        return 3
-    return 0
+    return code
 
 
 def _cmd_enumerate(args, argv: list[str]) -> int:
@@ -367,14 +375,7 @@ def _cmd_check(args, argv: list[str]) -> int:
         raise UsageError(f"cannot read {args.solution}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{args.solution}: invalid JSON: {exc}") from None
-    sol = solution_from_document(inst, doc)
-    # the oracle reads a missing matching off the limits; a paired market
-    # goes on to the variant's own shape refusal
-    if variant == "scorelimits_H" and "matching" not in doc \
-            and not inst.has_pairs and len(sol.score_limits) != inst.m:
-        raise UsageError("deriving a matching needs a score limit "
-                         "for every college")
-    report = check(inst, sol, variant)
+    report = check(inst, solution_from_document(inst, doc), variant)
     _emit({
         "command": "stableadmit " + " ".join(argv),
         "instance_digest": instance_digest(inst),
@@ -390,18 +391,8 @@ def _cmd_compare(args, argv: list[str]) -> int:
     heur_sol = matching.to_solution(
         inst, open_colleges={j: j not in closed for j in range(inst.m)})
     heur_report = check(inst, heur_sol, "lower")
-    model = build_lower(inst)
-    res = solve(model, node_cap=args.node_cap, time_cap=args.time_cap)
-    sol, verdict, exit_code = None, None, 0
-    if res.status == "infeasible":
-        exit_code = 2
-    elif res.status == "limit_reached":
-        exit_code = 1
-    else:
-        sol = extract_solution(model, res.assignment)
-        verdict = check(inst, sol, "lower").verdict
-        if verdict != "stable":
-            exit_code = 3
+    res, sol, verdict, _violations, exit_code = _solve_audited(
+        inst, build_lower(inst), "lower", args)
     ip = {"status": res.status, **_outcome(inst, sol, ("matching", "open")),
           "verdict": verdict}
     _emit({
@@ -417,9 +408,6 @@ def _cmd_compare(args, argv: list[str]) -> int:
         "timing": {"seconds": round(res.elapsed, 6)},
         "solver": {"status": res.status, "nodes": res.nodes},
     })
-    if exit_code == 3:
-        print("error: exact model produced an outcome the oracle rejects",
-              file=sys.stderr)
     return exit_code
 
 

@@ -274,7 +274,7 @@ def test_check_derives_matching_from_limits(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--variant", "scorelimits",
                        str(fixture_path("TWO")), partial)
     assert code == 1
-    assert "score limit for every college" in err
+    assert err == "error: missing score limit for college c2\n"
 
 
 def test_check_limits_only_on_paired_market_is_refused(capsys, tmp_path):
@@ -381,6 +381,15 @@ def test_compare_exposes_unstable_heuristic(capsys):
     assert doc["ip"]["status"] == "feasible"
     assert doc["ip"]["verdict"] == "stable"
     assert doc["ip"]["open"] == {"c1": True, "c2": True, "c3": False}
+
+
+def test_compare_cap_hit_first_says_so(capsys):
+    code, doc, err = run(capsys, "compare", str(fixture_path("I8")),
+                         "--node-cap", "0")
+    assert code == 1
+    assert doc["ip"]["status"] == "limit_reached"
+    assert doc["ip"]["matching"] is None
+    assert err == "error: search hit its cap before finding a solution\n"
 
 
 def test_compare_reports_empty_stable_set(capsys):
