@@ -408,6 +408,18 @@ DIGEST_PIN_MARKETS = {
     "enumerate_small nested": dict(n=6, m=2, list_range=(1, 2), max_score=5,
                                    upper_range=(1, 2), topology="nested",
                                    set_count=1),
+    # generator corners the benchmark's configs miss
+    "edge random sets": dict(n=30, m=8, list_range=(1, 4), max_score=60,
+                             upper_range=(1, 4), topology="random",
+                             set_count=3),
+    "edge ties pairs lower": dict(n=40, m=8, list_range=(1, 5), max_score=20,
+                                  tie_density=0.4, upper_range=(1, 6),
+                                  lower_range=(1, 3), pair_prob=0.3),
+    "edge no applicants": dict(n=0, m=5),
+    "edge no colleges": dict(n=5, m=0),
+    "edge empty lists": dict(n=10, m=4, list_range=(0, 0)),
+    "edge all pairs": dict(n=60, m=3, list_range=(1, 3), max_score=120,
+                           pair_prob=1.0),
 }
 DIGEST_PIN_SEEDS = (1, 7919)
 
