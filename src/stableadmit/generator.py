@@ -129,13 +129,10 @@ def generate(cfg: GenConfig) -> Instance:
                                    upper=rng.randint(1, cap)))
 
     classes = _score_classes(cfg.m, raw_sets)
-    class_ids = sorted(set(classes))
-    scores: dict[tuple[int, int], int] = {}  # (applicant, class) -> score
-    for cls in class_ids:
+    class_scores: dict[int, list[int]] = {}  # class -> scores by applicant
+    for cls in sorted(set(classes)):
         if cfg.tie_density == 0.0:
-            values = rng.sample(range(cfg.max_score + 1), cfg.n)
-            for i in range(cfg.n):
-                scores[(i, cls)] = values[i]
+            class_scores[cls] = rng.sample(range(cfg.max_score + 1), cfg.n)
         else:
             pool: list[int] = []
             for i in range(cfg.n):
@@ -144,14 +141,18 @@ def generate(cfg: GenConfig) -> Instance:
                 else:
                     s = rng.randint(0, cfg.max_score)
                 pool.append(s)
-                scores[(i, cls)] = s
+            class_scores[cls] = pool
+    scores = [class_scores[cls] for cls in classes]  # college -> scores by applicant
 
     applications = []
+    by_applicant = []
     applicants = tuple(f"a{i + 1}" for i in range(cfg.n))
+    all_colleges = list(range(cfg.m))
     for i in range(cfg.n):
         length = min(rng.randint(*cfg.list_range), cfg.m)
-        used_simple: set[int] = set()
+        remaining = all_colleges.copy()  # sorted, less the simple targets drawn
         used_pairs: set[frozenset[int]] = set()
+        own: list[Application] = []
         for rank in range(1, length + 1):
             entry = None
             if cfg.m >= 2 and rng.random() < cfg.pair_prob:
@@ -159,18 +160,17 @@ def generate(cfg: GenConfig) -> Instance:
                     j, k = rng.sample(range(cfg.m), 2)
                     if frozenset((j, k)) not in used_pairs:
                         used_pairs.add(frozenset((j, k)))
-                        entry = Application(
-                            i, rank, (j, k),
-                            (scores[(i, classes[j])], scores[(i, classes[k])]))
+                        entry = Application(i, rank, (j, k),
+                                            (scores[j][i], scores[k][i]))
                         break
             if entry is None:
-                remaining = sorted(set(range(cfg.m)) - used_simple)
-                if not remaining:
-                    break
+                # length <= m, so a college is always left to draw
                 j = rng.choice(remaining)
-                used_simple.add(j)
-                entry = Application(i, rank, j, scores[(i, classes[j])])
-            applications.append(entry)
+                remaining.remove(j)
+                entry = Application(i, rank, j, scores[j][i])
+            own.append(entry)
+        applications.extend(own)
+        by_applicant.append(tuple(own))
 
     inst = Instance(
         max_score=cfg.max_score,
@@ -179,5 +179,7 @@ def generate(cfg: GenConfig) -> Instance:
         applications=tuple(applications),
         common_quota_sets=tuple(quota_sets),
     )
+    # entries are drawn applicant by applicant in rank order already
+    inst.__dict__["by_applicant"] = tuple(by_applicant)
     inst.validate()
     return inst

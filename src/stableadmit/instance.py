@@ -110,7 +110,7 @@ class Instance:
     @cached_property
     def by_applicant(self) -> tuple[tuple[Application, ...], ...]:
         """Each applicant's applications sorted by rank, best first;
-        from_document installs the lists it builds while parsing."""
+        from_document and generate install the lists they build."""
         lists: list[list[Application]] = [[] for _ in self.applicants]
         for app in self.applications:
             lists[app.applicant].append(app)
@@ -545,8 +545,57 @@ def to_document(inst: Instance) -> dict:
     return doc
 
 
+def _indented(items: list[str], depth: int) -> str:
+    """A JSON list, as json.dumps(indent=2) writes it at depth, of items
+    already written for depth + 2."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (depth + 2)
+    return f"[{inner}{(',' + inner).join(items)}\n{' ' * depth}]"
+
+
 def serialize_instance(inst: Instance) -> str:
-    return json.dumps(to_document(inst), indent=2) + "\n"
+    """The file form: json.dumps(to_document(inst), indent=2) and a newline,
+    written directly in one pass (an indented json.dumps runs the
+    pure-Python encoder), ids escaped as json.dumps escapes them and ints
+    as digits."""
+    esc = encode_basestring_ascii
+    cids = [esc(c.id) for c in inst.colleges]
+    # n<d> breaks the line and indents to depth d: the fields of a college,
+    # applicant, quota set or group sit at 6, a list entry's at 10 and the
+    # items of a pair at 12
+    n4, n6, n8, n10, n12 = ("\n" + " " * d for d in (4, 6, 8, 10, 12))
+
+    def entry(app: Application) -> str:
+        if app.is_paired:
+            (j, k), (s, t) = app.target, app.score
+            return (f'{{{n10}"rank": {app.rank},'
+                    f'{n10}"pair": [{n12}{cids[j]},{n12}{cids[k]}{n10}],'
+                    f'{n10}"scores": [{n12}{s},{n12}{t}{n10}]{n8}}}')
+        return (f'{{{n10}"rank": {app.rank},{n10}"college": {cids[app.target]},'
+                f'{n10}"score": {app.score}{n8}}}')
+
+    def members(js: tuple[int, ...]) -> str:
+        return _indented([cids[j] for j in js], 6)
+
+    colleges = _indented([
+        f'{{{n6}"id": {cid},{n6}"upper": {c.upper},{n6}"lower": {c.lower}{n4}}}'
+        for cid, c in zip(cids, inst.colleges)], 2)
+    applicants = _indented([
+        f'{{{n6}"id": {esc(aid)},'
+        f'{n6}"list": {_indented(list(map(entry, apps)), 6)}{n4}}}'
+        for aid, apps in zip(inst.applicants, inst.by_applicant)], 2)
+    quota_sets = _indented([
+        f'{{{n6}"id": {esc(qs.id)},{n6}"members": {members(qs.members)},'
+        f'{n6}"upper": {qs.upper}{n4}}}'
+        for qs in inst.common_quota_sets], 2)
+    groups = _indented([
+        f'{{{n6}"id": {esc(g.id)},{n6}"members": {members(g.members)},'
+        f'{n6}"lower": {g.lower}{n4}}}'
+        for g in inst.lower_quota_groups], 2)
+    return (f'{{\n  "max_score": {inst.max_score},\n  "colleges": {colleges},'
+            f'\n  "applicants": {applicants},\n  "common_quotas": {quota_sets},'
+            f'\n  "lower_groups": {groups}\n}}\n')
 
 
 def instance_digest(inst: Instance) -> str:

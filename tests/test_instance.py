@@ -1,7 +1,9 @@
 """Instance parsing, validation, nesting, and serialization round-trips."""
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import random
 import time
@@ -12,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text, load
-from stableadmit import (Application, College, GenConfig, Instance, InvariantError,
-                         LowerGroup, QuotaSet, SchemaError, from_document, generate,
-                         instance_digest, is_nested, parse_instance,
-                         serialize_instance, to_document)
+from stableadmit import (Application, College, GenConfig, Instance, InstanceError,
+                         InvariantError, LowerGroup, QuotaSet, SchemaError,
+                         from_document, generate, instance_digest, is_nested,
+                         parse_instance, serialize_instance, to_document)
+from stableadmit.cli import CHECK_VARIANTS, main
+from stableadmit.solution import solution_from_document
 
 
 def test_minimal_document_parses():
@@ -583,6 +587,31 @@ def test_digest_is_sha256_of_the_sorted_compact_document(inst):
     assert instance_digest(inst) == hashlib.sha256(payload.encode()).hexdigest()
 
 
+def indented_dumps(inst) -> str:
+    """The file form as first defined, through the indented json.dumps."""
+    return json.dumps(to_document(inst), indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances())
+def test_serialize_instance_is_the_indented_document(inst):
+    assert serialize_instance(inst) == indented_dumps(inst)
+
+
+def pinned_instances() -> list[Instance]:
+    """Every digest-pinned fixture and generated market."""
+    return [load(name) for name in DIGEST_FIXTURES] + [
+        generate(GenConfig(seed=seed, **cfg))
+        for cfg in DIGEST_PIN_MARKETS.values() for seed in DIGEST_PIN_SEEDS]
+
+
+def test_serialize_instance_is_the_indented_document_on_pinned_markets():
+    for inst in pinned_instances():
+        text = serialize_instance(inst)
+        assert text == indented_dumps(inst)
+        assert parse_instance(text) == inst
+
+
 def score_table_by_scan(inst):
     """score_table and has_ties as first defined, over all applications."""
     table = {}
@@ -593,10 +622,7 @@ def score_table_by_scan(inst):
 
 
 def test_score_table_and_ties_match_the_scan():
-    insts = [load(name) for name in DIGEST_FIXTURES]
-    insts += [generate(GenConfig(seed=seed, **cfg))
-              for cfg in DIGEST_PIN_MARKETS.values() for seed in DIGEST_PIN_SEEDS]
-    for inst in insts:
+    for inst in pinned_instances():
         table, ties = score_table_by_scan(inst)
         assert list(inst.score_table.items()) == list(table.items())
         assert inst.has_ties == ties
@@ -676,3 +702,107 @@ def test_non_int_numbers_are_rejected(field, bad):
             replace(base.lower_quota_groups[0], lower=bad),))
     with pytest.raises(InvariantError, match="int"):
         inst.validate()
+
+
+# Hostile documents: a valid instance or solution document with up to
+# three nodes replaced by an out-of-schema value or deleted.
+HOSTILE_VALUES = (None, True, False, 0, -1, 0.5, float("nan"), float("inf"),
+                  "", "c1", "a1", [], [1], ["c1", "c2"], {}, {"id": "c1"},
+                  10**30)
+DELETE = "<delete>"
+SOLUTION_BASE = {
+    "matching": {"a1": "c1", "a2": ["c1", "c2"]},
+    "score_limits": {"c1": 3, "c2": 0},
+    "set_limits": {"p1": 2},
+    "open": {"c1": True, "c2": False},
+    "open_groups": {"g1": True},
+}
+
+
+def _node_paths(node, at=()):
+    yield at
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, at + (key,))
+
+
+@st.composite
+def _hostile(draw, base):
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_node_paths(doc))))
+        value = draw(st.sampled_from(HOSTILE_VALUES + (DELETE,)))
+        if not path:
+            doc = doc if value == DELETE else copy.deepcopy(value)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value == DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def _run_cli(*argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def _assert_names_its_path(exc: InstanceError) -> None:
+    if isinstance(exc, SchemaError):
+        assert exc.path and str(exc).startswith(f"{exc.path}: ")
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("hostile")
+    (d / "base.json").write_text(json.dumps(SCHEMA_BASE), encoding="utf-8")
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_hostile(SCHEMA_BASE))
+def test_hostile_instance_documents_fail_as_instance_errors(hostile_dir, doc):
+    """from_document either builds an instance or raises an InstanceError,
+    and `validate` on the same file exits 1 with that error's message."""
+    try:
+        from_document(doc)
+        error = None
+    except InstanceError as exc:
+        _assert_names_its_path(exc)
+        error = exc
+    path = hostile_dir / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _run_cli("validate", str(path))
+    if error is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 1 and err == f"error: {error}\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_hostile(SOLUTION_BASE))
+def test_hostile_solution_documents_fail_as_schema_errors(hostile_dir, doc):
+    """solution_from_document either builds a solution or raises a
+    SchemaError naming its path, and `check` exits 0 or 1 on the file."""
+    inst = from_document(copy.deepcopy(SCHEMA_BASE))
+    try:
+        solution_from_document(inst, doc)
+        error = None
+    except SchemaError as exc:
+        _assert_names_its_path(exc)
+        error = exc
+    path = hostile_dir / "solution.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for variant in CHECK_VARIANTS:
+        code, err = _run_cli("check", "--variant", variant,
+                             str(hostile_dir / "base.json"), str(path))
+        if error is None:
+            assert code in (0, 1)
+        else:
+            assert code == 1 and err == f"error: {error}\n"
