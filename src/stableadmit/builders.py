@@ -19,9 +19,12 @@ membership rule places every application: it sits in each pool holding
 one of its colleges, at its score there, except that a college's own
 pool skips paired applications.
 
-Each build formats its variable names and row subjects once and every
-row reads them from there, so the work of a build grows with the rows
-and nonzeros it emits, each of which LinearModel checks.
+Each build formats its assignment and cutoff names and its per-entry
+row subjects once, in _Names, and every row reads them from there. The
+flag names o_{j}, f_{j}, yflag_{j} and ogrp_{g} are not in that table:
+each row that uses one formats it again, once per row. So the work of
+a build grows with the rows and nonzeros it emits, each of which
+LinearModel checks.
 
 Big-M constants stay at their defining sizes rather than being
 tightened, keeping every row auditable against the stability

@@ -9,7 +9,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .instance import Application, College, Instance, InstanceError, QuotaSet
+from .instance import (Application, College, Instance, InstanceError, QuotaSet,
+                       assemble)
 
 
 class ConfigError(InstanceError):
@@ -144,8 +145,7 @@ def generate(cfg: GenConfig) -> Instance:
             class_scores[cls] = pool
     scores = [class_scores[cls] for cls in classes]  # college -> scores by applicant
 
-    applications = []
-    by_applicant = []
+    by_applicant = []  # entries are drawn applicant by applicant in rank order
     applicants = tuple(f"a{i + 1}" for i in range(cfg.n))
     all_colleges = list(range(cfg.m))
     for i in range(cfg.n):
@@ -169,17 +169,6 @@ def generate(cfg: GenConfig) -> Instance:
                 remaining.remove(j)
                 entry = Application(i, rank, j, scores[j][i])
             own.append(entry)
-        applications.extend(own)
         by_applicant.append(tuple(own))
 
-    inst = Instance(
-        max_score=cfg.max_score,
-        applicants=applicants,
-        colleges=tuple(colleges),
-        applications=tuple(applications),
-        common_quota_sets=tuple(quota_sets),
-    )
-    # entries are drawn applicant by applicant in rank order already
-    inst.__dict__["by_applicant"] = tuple(by_applicant)
-    inst.validate()
-    return inst
+    return assemble(cfg.max_score, applicants, colleges, by_applicant, quota_sets)

@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Union
@@ -110,7 +111,7 @@ class Instance:
     @cached_property
     def by_applicant(self) -> tuple[tuple[Application, ...], ...]:
         """Each applicant's applications sorted by rank, best first;
-        from_document and generate install the lists they build."""
+        assemble installs the lists from_document and generate build."""
         lists: list[list[Application]] = [[] for _ in self.applicants]
         for app in self.applications:
             lists[app.applicant].append(app)
@@ -269,22 +270,7 @@ class Instance:
             for (i, j), s in table.items():
                 if i in mixed:
                     scores_at[j].append((i, s))
-        set_ids = set()
-        for qs in self.common_quota_sets:
-            if qs.id in set_ids:
-                raise InvariantError(f"duplicate quota set id {qs.id}")
-            set_ids.add(qs.id)
-            if not qs.members:
-                raise InvariantError(f"quota set {qs.id}: members must be non-empty")
-            if len(set(qs.members)) != len(qs.members):
-                raise InvariantError(f"quota set {qs.id}: duplicate member")
-            if type(qs.upper) is not int:
-                raise InvariantError(f"quota set {qs.id}: upper quota must be an int")
-            if qs.upper < 0:
-                raise InvariantError(f"quota set {qs.id}: upper quota must be >= 0")
-            for j in qs.members:
-                if not 0 <= j < m:
-                    raise InvariantError(f"quota set {qs.id}: unknown college index {j}")
+        for qs in _checked_sets(self.common_quota_sets, "quota set", "upper", 0, m):
             # scans the mixed-score applicants with a score inside the set,
             # not all n of them; one college holds one score per applicant,
             # so a single-member set needs no scan
@@ -296,23 +282,31 @@ class Instance:
                     raise InvariantError(
                         f"quota set {qs.id}: applicant {applicants[min(unequal)]} has "
                         f"unequal scores inside the set")
-        group_ids = set()
-        for g in self.lower_quota_groups:
-            if g.id in group_ids:
-                raise InvariantError(f"duplicate lower group id {g.id}")
-            group_ids.add(g.id)
-            if not g.members:
-                raise InvariantError(f"lower group {g.id}: members must be non-empty")
-            if len(set(g.members)) != len(g.members):
-                raise InvariantError(f"lower group {g.id}: duplicate member")
-            if type(g.lower) is not int:
-                raise InvariantError(f"lower group {g.id}: lower quota must be an int")
-            if g.lower < 1:
-                raise InvariantError(f"lower group {g.id}: lower quota must be >= 1")
-            for j in g.members:
-                if not 0 <= j < m:
-                    raise InvariantError(f"lower group {g.id}: unknown college index {j}")
+        list(_checked_sets(self.lower_quota_groups, "lower group", "lower", 1, m))
         self.__dict__["score_table"] = table
+
+
+def _checked_sets(sets, label: str, bound: str, least: int, m: int):
+    """Yield each quota set or lower group, in declaration order, once its
+    id, members and bound (the upper or lower field, at least least) pass."""
+    ids = set()
+    for s in sets:
+        if s.id in ids:
+            raise InvariantError(f"duplicate {label} id {s.id}")
+        ids.add(s.id)
+        if not s.members:
+            raise InvariantError(f"{label} {s.id}: members must be non-empty")
+        if len(set(s.members)) != len(s.members):
+            raise InvariantError(f"{label} {s.id}: duplicate member")
+        value = getattr(s, bound)
+        if type(value) is not int:
+            raise InvariantError(f"{label} {s.id}: {bound} quota must be an int")
+        if value < least:
+            raise InvariantError(f"{label} {s.id}: {bound} quota must be >= {least}")
+        for j in s.members:
+            if not 0 <= j < m:
+                raise InvariantError(f"{label} {s.id}: unknown college index {j}")
+        yield s
 
 
 def is_nested(inst: Instance) -> bool:
@@ -377,7 +371,6 @@ def from_document(doc: dict) -> Instance:
         colleges.append(College(id=cid, upper=upper, lower=lower))
     raw_applicants = _get(doc, "applicants", "$", list)
     applicants = []
-    applications = []
     by_applicant = []  # each applicant's own entries in rank order
     for ai, entry in enumerate(raw_applicants):
         if not isinstance(entry, dict):
@@ -453,46 +446,44 @@ def from_document(doc: dict) -> Instance:
                     ai, rank, (ids[pair[0]], ids[pair[1]]), (scores[0], scores[1])))
         if shuffled:
             own.sort(key=attrgetter("rank"))
-        applications.extend(own)
         by_applicant.append(tuple(own))
-    raw_sets = _get(doc, "common_quotas", "$", list, required=False, default=[])
-    quota_sets = []
-    for si, entry in enumerate(raw_sets):
-        path = f"common_quotas[{si}]"
+    quota_sets = _read_sets(doc, ids, "common_quotas", "upper", QuotaSet)
+    groups = _read_sets(doc, ids, "lower_groups", "lower", LowerGroup)
+    return assemble(max_score, applicants, colleges, by_applicant, quota_sets, groups)
+
+
+def _read_sets(doc: dict, ids: dict[str, int], key: str, bound: str, make) -> list:
+    """The quota sets (key common_quotas, bound upper) or lower groups
+    (lower_groups, lower) of a document, members as college indices."""
+    out = []
+    for si, entry in enumerate(_get(doc, key, "$", list, required=False, default=[])):
+        path = f"{key}[{si}]"
         _expect(isinstance(entry, dict), path, "expected an object")
-        for key in entry:
-            _expect(key in {"id", "members", "upper"}, f"{path}.{key}", "unknown key")
+        for k in entry:
+            _expect(k in {"id", "members", bound}, f"{path}.{k}", "unknown key")
         sid = _get(entry, "id", path, str)
         members = _get(entry, "members", path, list)
         for mi, cid in enumerate(members):
             _expect(isinstance(cid, str), f"{path}.members[{mi}]", "expected str")
             _expect(cid in ids, f"{path}.members[{mi}]", f"unknown college id {cid!r}")
-        upper = _get(entry, "upper", path, int)
-        quota_sets.append(QuotaSet(sid, tuple(ids[c] for c in members), upper))
-    raw_groups = _get(doc, "lower_groups", "$", list, required=False, default=[])
-    groups = []
-    for gi, entry in enumerate(raw_groups):
-        path = f"lower_groups[{gi}]"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        for key in entry:
-            _expect(key in {"id", "members", "lower"}, f"{path}.{key}", "unknown key")
-        gid = _get(entry, "id", path, str)
-        members = _get(entry, "members", path, list)
-        for mi, cid in enumerate(members):
-            _expect(isinstance(cid, str), f"{path}.members[{mi}]", "expected str")
-            _expect(cid in ids, f"{path}.members[{mi}]", f"unknown college id {cid!r}")
-        lower = _get(entry, "lower", path, int)
-        groups.append(LowerGroup(gid, tuple(ids[c] for c in members), lower))
+        out.append(make(sid, tuple(ids[c] for c in members), _get(entry, bound, path, int)))
+    return out
+
+
+def assemble(max_score: int, applicants, colleges, lists, quota_sets=(),
+             groups=()) -> Instance:
+    """The validated Instance over each applicant's applications in rank
+    order; those lists become by_applicant, which the cached property
+    would otherwise regroup and re-sort."""
     inst = Instance(
         max_score=max_score,
         applicants=tuple(applicants),
         colleges=tuple(colleges),
-        applications=tuple(applications),
+        applications=tuple(chain.from_iterable(lists)),
         common_quota_sets=tuple(quota_sets),
         lower_quota_groups=tuple(groups),
     )
-    # the cached property would regroup and re-sort the same entries
-    inst.__dict__["by_applicant"] = tuple(by_applicant)
+    inst.__dict__["by_applicant"] = tuple(lists)
     inst.validate()
     return inst
 
@@ -575,8 +566,12 @@ def serialize_instance(inst: Instance) -> str:
         return (f'{{{n10}"rank": {app.rank},{n10}"college": {cids[app.target]},'
                 f'{n10}"score": {app.score}{n8}}}')
 
-    def members(js: tuple[int, ...]) -> str:
-        return _indented([cids[j] for j in js], 6)
+    def sets(items, bound: str) -> str:
+        # quota sets and lower groups differ only in the bound's name
+        return _indented([
+            f'{{{n6}"id": {esc(s.id)},{n6}"members": '
+            f'{_indented([cids[j] for j in s.members], 6)},'
+            f'{n6}"{bound}": {getattr(s, bound)}{n4}}}' for s in items], 2)
 
     colleges = _indented([
         f'{{{n6}"id": {cid},{n6}"upper": {c.upper},{n6}"lower": {c.lower}{n4}}}'
@@ -585,14 +580,8 @@ def serialize_instance(inst: Instance) -> str:
         f'{{{n6}"id": {esc(aid)},'
         f'{n6}"list": {_indented(list(map(entry, apps)), 6)}{n4}}}'
         for aid, apps in zip(inst.applicants, inst.by_applicant)], 2)
-    quota_sets = _indented([
-        f'{{{n6}"id": {esc(qs.id)},{n6}"members": {members(qs.members)},'
-        f'{n6}"upper": {qs.upper}{n4}}}'
-        for qs in inst.common_quota_sets], 2)
-    groups = _indented([
-        f'{{{n6}"id": {esc(g.id)},{n6}"members": {members(g.members)},'
-        f'{n6}"lower": {g.lower}{n4}}}'
-        for g in inst.lower_quota_groups], 2)
+    quota_sets = sets(inst.common_quota_sets, "upper")
+    groups = sets(inst.lower_quota_groups, "lower")
     return (f'{{\n  "max_score": {inst.max_score},\n  "colleges": {colleges},'
             f'\n  "applicants": {applicants},\n  "common_quotas": {quota_sets},'
             f'\n  "lower_groups": {groups}\n}}\n')

@@ -22,7 +22,11 @@ lowest-admit score over the full pools containing college j (-inf when
 none is full). An application the applicant prefers to their match is
 refused justly iff guard[j] + slack > score, with slack 1 under weak_ties
 and 0 otherwise; a paired application needs that at either college.
-scorelimits_H shares the feasibility pass and keeps its own cutoff check.
+scorelimits_H shares the feasibility pass and keeps its own cutoff check:
+a positive t_j is reducible iff intake_j plus the applicants that t_j - 1
+would draw to j fits the upper quota. Those newcomers score t_j - 1 at j
+and rank j above their induced match or are unmatched, so one pass over
+the lists counts them for every college at once.
 """
 
 from __future__ import annotations
@@ -336,12 +340,18 @@ def _check_scorelimits(inst: Instance, sol: Solution) -> StabilityReport:
     violations = _feasibility(inst, intake, None, False)
     if violations:
         return _verdict(violations)
+    # the applicants t_j - 1 would draw to j: the entries above the match
+    newcomers = [0] * inst.m
+    for i, apps in enumerate(inst.by_applicant):
+        for app in apps:
+            if app.target == induced.matching[i]:
+                break
+            if app.score == limits[app.target] - 1:
+                newcomers[app.target] += 1
     for j, c in enumerate(inst.colleges):
         if limits[j] == 0:
             continue
-        trial = limits.copy()
-        trial[j] -= 1
-        if list(_induced(inst, trial).values()).count(j) <= c.upper:
+        if intake[j] + newcomers[j] <= c.upper:
             kind = ("unfilled_positive_limit" if intake[j] < c.upper
                     else "reducible_score_limit")
             violations.append(Violation(

@@ -6,7 +6,8 @@ import pytest
 
 import stableadmit.algorithms
 from conftest import load, matchings_of
-from stableadmit import (AlgorithmError, GenConfig, Solution, check, da,
+from stableadmit import (AlgorithmError, GenConfig, Solution,
+                         build_scorelimits, check, da, enumerate_feasible,
                          enumerate_stable, from_document, generate,
                          gs_scorelimits, induced_matching,
                          lower_quota_heuristic)
@@ -104,11 +105,26 @@ def test_gs_scorelimits_outputs_are_h_stable():
                 (name, side)
 
 
+def _strict_model_limits(inst) -> list[tuple[int, ...]]:
+    """Every cutoff vector the strict scorelimits model admits, in college
+    order."""
+    model = build_scorelimits(inst, "strict")
+    limits = sorted(model.vars_by_role("limit"), key=lambda v: v.key)
+    res = enumerate_feasible(model, [v.name for v in limits])
+    assert not res.truncated
+    return [tuple(p[v.name] for v in limits) for p in res.projections]
+
+
 def test_gs_scorelimits_sides_bound_the_stable_vectors():
-    checked_multi = 0
+    """The applicant side gives the pointwise minimum of the H-stable cutoff
+    vectors and the college side their pointwise maximum, on 120 markets
+    with ties on odd seeds. On the tie-free ones, the strict model's own
+    cutoffs share that minimum, but their maximum may exceed the college
+    side, so [applicant, college] does not bound the strict model's t."""
+    checked_multi = strict_above = 0
     for seed in range(120):
-        cfg = GenConfig(n=4, m=2, seed=seed, list_range=(2, 2), max_score=4,
-                        tie_density=0.5 if seed % 2 else 0.0)
+        cfg = GenConfig(n=5, m=3, seed=seed, list_range=(2, 3), max_score=5,
+                        upper_range=(1, 2), tie_density=0.5 if seed % 2 else 0.0)
         inst = generate(cfg)
         stable = enumerate_stable(inst, "scorelimits_H")
         vectors = [tuple(sol.score_limits[j] for j in range(inst.m))
@@ -125,7 +141,15 @@ def test_gs_scorelimits_sides_bound_the_stable_vectors():
         assert all(a <= b for a, b in zip(got_lo, got_hi))
         if len(set(vectors)) > 1:
             checked_multi += 1
+        if inst.has_ties:
+            continue
+        strict = _strict_model_limits(inst)
+        assert tuple(min(v[j] for v in strict) for j in range(inst.m)) == got_lo, seed
+        strict_hi = tuple(max(v[j] for v in strict) for j in range(inst.m))
+        assert all(a >= b for a, b in zip(strict_hi, got_hi)), seed
+        strict_above += strict_hi != got_hi
     assert checked_multi >= 10  # the sweep must exercise non-unique cases
+    assert strict_above >= 1
 
 
 def test_gs_scorelimits_matching_is_induced_by_its_cutoffs():

@@ -480,24 +480,37 @@ def test_main_calls_share_no_state(capsys, tmp_path):
     assert forward[-1][1].startswith("usage: stableadmit solve [-h]")
 
 
-@pytest.mark.parametrize("command", [
-    ("--model", "classical", "--objective", "applicant-optimal"),
-    ("--model", "classical", "--objective", "applicant-pessimal"),
-    ("--model", "scorelimits", "--mode", "ties-min"),
-    ("--model", "scorelimits", "--objective", "min-score-limits"),
-    ("--model", "lower", "--objective", "lex-matched-then-limits"),
-    ("--model", "combined", "--mode", "lower",
-     "--group-policy", "drop-with-lex-objective"),
-    ("--model", "combined", "--mode", "ties,lower",
-     "--group-policy", "drop-with-lex-objective"),
-], ids=lambda command: " ".join(command[1::2]))
-def test_optimal_reports_do_not_depend_on_caps(capsys, command):
-    proved = 0
-    for path in sorted(FIXTURE_DIR.glob("*.json")):
+# Generated markets for the cap test, one kind per command: strict scores,
+# tied scores, and either with lower quotas.
+_STRICT = dict(n=8, m=3, list_range=(1, 3), max_score=20, upper_range=(1, 3))
+_TIED = dict(_STRICT, max_score=4, tie_density=0.5)
+_LOWER = dict(_STRICT, lower_range=(0, 2))
+_TIED_LOWER = dict(_TIED, lower_range=(0, 2))
+_CAP_CASES = [
+    (("--model", "classical", "--objective", "applicant-optimal"), _STRICT),
+    (("--model", "classical", "--objective", "applicant-pessimal"), _STRICT),
+    (("--model", "scorelimits", "--mode", "ties-min"), _TIED),
+    (("--model", "scorelimits", "--objective", "min-score-limits"), _STRICT),
+    (("--model", "lower", "--objective", "lex-matched-then-limits"), _LOWER),
+    (("--model", "combined", "--mode", "lower",
+      "--group-policy", "drop-with-lex-objective"), _LOWER),
+    (("--model", "combined", "--mode", "ties,lower",
+      "--group-policy", "drop-with-lex-objective"), _TIED_LOWER),
+]
+
+
+@pytest.mark.parametrize("command, market", _CAP_CASES,
+                         ids=[" ".join(command[1::2]) for command, _ in _CAP_CASES])
+def test_optimal_reports_do_not_depend_on_caps(capsys, tmp_path, command, market):
+    """An optimal report is the same under a node cap of its own node
+    count, a generous time cap and both, and a node cap one below its count
+    stops it short of optimal: on the fixtures and on 12 seeded markets of
+    the kind the command applies to."""
+    def proves(path) -> bool:
         argv = ("solve", str(path), *command)
         code, doc, _ = run(capsys, *argv)
         if doc is None or doc["status"] != "optimal":
-            continue
+            return False
         nodes = doc["solver"]["nodes"]
         for caps in (("--node-cap", str(nodes)), ("--time-cap", "1000"),
                      ("--node-cap", str(nodes), "--time-cap", "1000")):
@@ -506,8 +519,18 @@ def test_optimal_reports_do_not_depend_on_caps(capsys, command):
             assert _unstamped(capped) == _unstamped(doc), (path.stem, caps)
         _, short, _ = run(capsys, *argv, "--node-cap", str(nodes - 1))
         assert short["status"] != "optimal", path.stem
-        proved += 1
-    assert proved >= 4
+        return True
+
+    assert sum(map(proves, sorted(FIXTURE_DIR.glob("*.json")))) >= 4
+    generated = 0
+    for seed in range(12):
+        inst = generate(GenConfig(seed=seed, **market))
+        assert inst.has_ties == ("tie_density" in market), seed
+        assert inst.has_lower_quotas == ("lower_range" in market), seed
+        path = tmp_path / f"gen{seed}.json"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        generated += proves(path)
+    assert generated >= 10
 
 
 def test_unverified_audit_failure_lists_the_breach(capsys, monkeypatch):

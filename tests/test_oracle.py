@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import pytest
 from conftest import grouped_i4b, load, matchings_of
 from stableadmit import (College, GenConfig, Instance, LowerGroup, ShapeError,
                          SizeGuardError, Solution, check, da, empty_matching,
-                         enumerate_stable, generate, gs_scorelimits,
-                         lower_quota_heuristic)
+                         enumerate_stable, from_document, generate,
+                         gs_scorelimits, lower_quota_heuristic)
 
 
 def msol(inst, **assign) -> Solution:
@@ -489,3 +490,79 @@ def test_matching_variants_agree_where_they_coincide():
                 assert len(set(verdicts.values())) == 1, (seed, side, how, verdicts)
                 checked += 1
     assert checked >= 1000
+
+
+def _reference_scorelimits(inst, limits) -> dict:
+    """The scorelimits_H report by definition, one trial per cutoff: the
+    induced matching must fit every upper quota, and a positive t_j is
+    reducible when the matching induced with t_j - 1 in its place still
+    fits c_j's quota."""
+    def induced(vector):
+        return [next((app.target for app in apps if app.score >= vector[app.target]),
+                     None) for apps in inst.by_applicant]
+
+    vector = [limits[j] for j in range(inst.m)]
+    targets = induced(vector)
+    intake = [targets.count(j) for j in range(inst.m)]
+    breaches = [{"kind": "quota_breach", "subject": {"college": c.id},
+                 "detail": f"{intake[j]} admitted with {c.upper} seats"}
+                for j, c in enumerate(inst.colleges) if intake[j] > c.upper]
+    if breaches:
+        return {"verdict": "infeasible", "violations": breaches}
+    violations = []
+    for j, c in enumerate(inst.colleges):
+        if vector[j] == 0:
+            continue
+        trial = vector.copy()
+        trial[j] -= 1
+        if induced(trial).count(j) <= c.upper:
+            kind = ("unfilled_positive_limit" if intake[j] < c.upper
+                    else "reducible_score_limit")
+            violations.append({
+                "kind": kind, "subject": {"college": c.id},
+                "detail": f"limit {vector[j]} can drop to {vector[j] - 1} "
+                          f"without breaking the quota"})
+    return {"verdict": "unstable" if violations else "stable",
+            "violations": violations}
+
+
+def test_scorelimits_reports_match_the_trial_by_trial_definition():
+    """Full scorelimits_H reports equal the one-trial-per-cutoff definition
+    on both GS vectors and every single-cutoff step of one, over 300 small
+    markets with ties on odd seeds."""
+    verdicts, kinds = set(), set()
+    for seed in range(300):
+        inst = generate(GenConfig(n=8, m=3, seed=seed, list_range=(1, 3),
+                                  max_score=9, upper_range=(1, 3),
+                                  tie_density=0.5 if seed % 2 else 0.0))
+        for how, limits in _scorelimit_trials(inst):
+            report = check(inst, Solution(matching={}, score_limits=limits),
+                           "scorelimits_H").to_report()
+            assert report == _reference_scorelimits(inst, limits), (seed, how)
+            verdicts.add(report["verdict"])
+            kinds.update(v["kind"] for v in report["violations"])
+    assert verdicts == {"stable", "unstable", "infeasible"}
+    assert {"reducible_score_limit", "unfilled_positive_limit"} <= kinds
+
+
+def test_scorelimits_audit_is_one_pass_on_a_large_market():
+    """n=20,000 applicants over 1,000 colleges of 8 seats, applicant i
+    listing c{i%m} then c{(i+1)%m} with score i at both: the audit of the
+    applicant-side GS cutoffs must not re-induce the matching per college."""
+    n, m = 20_000, 1_000
+    doc = {
+        "max_score": n - 1,
+        "colleges": [{"id": f"c{j}", "upper": 8} for j in range(m)],
+        "applicants": [{"id": f"a{i}", "list": [
+            {"rank": 1, "college": f"c{i % m}", "score": i},
+            {"rank": 2, "college": f"c{(i + 1) % m}", "score": i}]}
+            for i in range(n)],
+    }
+    inst = from_document(doc)
+    limits = gs_scorelimits(inst, "applicant")[1].limits
+    sol = Solution(matching={}, score_limits=limits)
+    started = time.perf_counter()
+    report = check(inst, sol, "scorelimits_H")
+    elapsed = time.perf_counter() - started
+    assert report.verdict == "stable"
+    assert elapsed < 0.5, elapsed
