@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from math import inf
 
 from .instance import Application, Instance
-from .solution import Solution, empty_matching
+from .solution import Solution, by_college_ids, empty_matching
 
 
 class AlgorithmError(ValueError):
@@ -55,7 +55,7 @@ class ScoreLimits:
     limits: dict[int, int]  # college index -> cutoff in [0, max_score + 1]
 
     def by_ids(self, inst: Instance) -> dict[str, int]:
-        return {inst.colleges[j].id: t for j, t in sorted(self.limits.items())}
+        return by_college_ids(inst, self.limits)
 
 
 @dataclass
@@ -70,7 +70,7 @@ class ClosureEvent:
             "closed": inst.colleges[self.college].id,
             "admitted": self.admitted,
             "lower": self.lower,
-            "cutoffs": {inst.colleges[j].id: s for j, s in sorted(self.cutoffs.items())},
+            "cutoffs": by_college_ids(inst, self.cutoffs),
         }
 
 

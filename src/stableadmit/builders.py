@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 from .instance import Application, Instance
 from .linmodel import LinearModel, ModelError, assignment_satisfies
-from .solution import Solution
+from .solution import LIMIT_ROLES, SECTIONS, Solution
 
 SCORELIMIT_MODES = ("strict", "ties_min", "ties_full")
 GROUP_POLICIES = ("enforce", "drop_with_lex_objective")
@@ -345,15 +345,13 @@ def build_lower(inst: Instance) -> LinearModel:
 
 @dataclass(frozen=True)
 class _SeatPool:
-    """One seat pool with a cutoff: a college's own pool or a declared
-    set of colleges sharing seats."""
-    cap_tag: str              # college_feasible | common_feasible
+    """A seat pool with a cutoff: a college's own (college_feasible row,
+    limit and filled roles) or a shared one (common_feasible, set_*)."""
+    own: bool                 # a college's own pool
     label: str                # constraint subject
     suffix: str               # escape-variable suffix
     limit: str                # cutoff variable name
     filled: str               # filled-flag variable name
-    limit_role: str           # limit | set_limit
-    filled_role: str          # filled | set_filled
     key: object
     upper: int
     members: tuple[int, ...]  # colleges whose seats the pool counts
@@ -377,10 +375,12 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
     """
     top = inst.max_score + 1
     for pool in pools:
-        model.add_var(pool.limit, 0, top, role=pool.limit_role, key=pool.key)
+        model.add_var(pool.limit, 0, top, role="limit" if pool.own else "set_limit",
+                      key=pool.key)
     if with_flags:
         for pool in pools:
-            model.add_var(pool.filled, 0, 1, role=pool.filled_role, key=pool.key)
+            model.add_var(pool.filled, 0, 1,
+                          role="filled" if pool.own else "set_filled", key=pool.key)
     holding: list[list[int]] = [[] for _ in range(inst.m)]
     for si, pool in enumerate(pools):
         for j in pool.members:
@@ -391,7 +391,7 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
         app = e.app
         within = [(si, app.score_at(j)) for j in app.colleges()
                   for si in holding[j]
-                  if not (app.is_paired and pools[si].cap_tag == "college_feasible")]
+                  if not (app.is_paired and pools[si].own)]
         for si, _score in within:
             intake[si].append(e.x)
         memberships.append(within)
@@ -403,10 +403,10 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
     for (i, si), name in sorted(used.items()):
         model.add_var(name, 0, 1, role="escape", key=(i, pools[si].label))
     for pool, xs in zip(pools, intake):
-        if pool.cap_tag == "college_feasible" and open_relaxed:
+        if pool.own and open_relaxed:
             continue
-        model.add_constraint(pool.cap_tag, pool.label,
-                             dict.fromkeys(xs, 1), "<=", pool.upper)
+        model.add_constraint("college_feasible" if pool.own else "common_feasible",
+                             pool.label, dict.fromkeys(xs, 1), "<=", pool.upper)
     for e, within in zip(nm.entries, memberships):
         for si, score in within:
             pool = pools[si]
@@ -444,17 +444,15 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
 def _college_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
     """Each college's own pool over its simple applications."""
     return [
-        _SeatPool("college_feasible", c.id, f"c{j}", nm.limit[j], f"f_{j}",
-                  "limit", "filled", j, c.upper, (j,))
+        _SeatPool(True, c.id, f"c{j}", nm.limit[j], f"f_{j}", j, c.upper, (j,))
         for j, c in enumerate(inst.colleges)
     ]
 
 
 def _common_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
     return _college_pools(inst, nm) + [
-        _SeatPool("common_feasible", qs.id, f"s{si}", f"tset_{si}",
-                  f"fset_{si}", "set_limit", "set_filled", qs.id, qs.upper,
-                  qs.members)
+        _SeatPool(False, qs.id, f"s{si}", f"tset_{si}", f"fset_{si}", qs.id,
+                  qs.upper, qs.members)
         for si, qs in enumerate(inst.common_quota_sets)
     ]
 
@@ -528,9 +526,8 @@ def _paired_reduction_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
     pools = _college_pools(inst, nm)
     for j in touched:
         label = f"all({inst.colleges[j].id})"
-        pools.append(_SeatPool(
-            "common_feasible", label, f"u{j}", f"tuni_{j}", f"funi_{j}",
-            "set_limit", "set_filled", label, inst.colleges[j].upper, (j,)))
+        pools.append(_SeatPool(False, label, f"u{j}", f"tuni_{j}", f"funi_{j}",
+                               label, inst.colleges[j].upper, (j,)))
     return pools
 
 
@@ -631,7 +628,7 @@ def add_named_objective(inst: Instance, model: LinearModel, name: str) -> None:
         model.add_objective("max", {v.name: 1 for v in model.vars_by_role("assign")},
                             name="matched")
     model.add_objective("min", {v.name: 1 for v in model.variables.values()
-                                if v.role in ("limit", "set_limit")},
+                                if v.role in LIMIT_ROLES},
                         name="total_limits")
 
 
@@ -643,12 +640,10 @@ def rank_objective(inst: Instance, model: LinearModel) -> dict[str, int]:
 
 def decode_solution(model: LinearModel, values: dict[str, int]) -> Solution:
     """Read a Solution off whichever model variables values holds, via
-    their roles; the values are not checked against the rows."""
+    their roles and the section table; the values are not checked
+    against the rows."""
     matching: dict[int, object] = {}
-    score_limits: dict[int, int] = {}
-    set_limits: dict[str, int] = {}
-    open_colleges: dict[int, bool] = {}
-    open_groups: dict[str, bool] = {}
+    found = {s.role: (s.value, {}) for s in SECTIONS}
     for var in model.variables.values():
         if var.name not in values:
             continue
@@ -658,17 +653,11 @@ def decode_solution(model: LinearModel, values: dict[str, int]) -> Solution:
             matching.setdefault(i, None)
             if value == 1:
                 matching[i] = target
-        elif var.role == "limit":
-            score_limits[var.key] = value
-        elif var.role == "set_limit":
-            set_limits[var.key] = value
-        elif var.role == "open":
-            open_colleges[var.key] = bool(value)
-        elif var.role == "group_open":
-            open_groups[var.key] = bool(value)
-    return Solution(matching=matching, score_limits=score_limits,
-                    set_limits=set_limits, open_colleges=open_colleges,
-                    open_groups=open_groups)
+        elif var.role in found:
+            cast, out = found[var.role]
+            out[var.key] = cast(value)
+    return Solution(matching=matching,
+                    **{s.field: found[s.role][1] for s in SECTIONS})
 
 
 def extract_solution(model: LinearModel, assignment: dict[str, int]) -> Solution:

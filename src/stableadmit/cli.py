@@ -13,7 +13,9 @@ verdict printed in a report always comes from the oracle, never from
 the solver alone. Model mixes without an oracle variant get only the
 oracle's feasibility pass and the verdict "unverified". check passes a
 score-limit solution file without a matching section to the oracle as
-it is; the oracle reads the matching off the limits.
+it is; the oracle reads the matching off the limits. Report sections and
+enumerate's projection follow solution.SECTIONS; a limits-only outcome
+has an empty matching in solve's report and none in enumerate's list.
 
 `main` builds its argument parser on first use and reuses it for every
 later call in the process.
@@ -39,7 +41,8 @@ from .generator import ConfigError, GenConfig, generate
 from .linmodel import LinearModel, ModelError
 from .oracle import ShapeError, SizeGuardError, check, quota_breaches
 from .preprocess import apply_fixings, fix_iterate
-from .solution import Solution, solution_from_document, solution_to_document
+from .solution import (DOCUMENT_KEYS, LIMIT_ROLES, OUTCOME_ROLES, Solution,
+                       solution_from_document, solution_to_document)
 # solve_lex stays imported because the traced benchmark patches it here
 from .solver import (SolveResult, SolverError, enumerate_feasible, solve,
                      solve_lex)
@@ -213,7 +216,7 @@ def _apply_objective(inst: Instance, model: LinearModel, model_name: str,
     if objective.startswith("applicant-") and model_name != "classical":
         raise UsageError(f"{objective} applies to --model classical only")
     if objective == "min-score-limits" and not any(
-            v.role in ("limit", "set_limit") for v in model.variables.values()):
+            v.role in LIMIT_ROLES for v in model.variables.values()):
         raise UsageError("min-score-limits needs a score-limit model")
     if objective == "lex-matched-then-limits" and model_name == "classical":
         raise UsageError("lex-matched-then-limits does not apply to classical")
@@ -242,8 +245,7 @@ def _solve_report(argv: list[str], inst: Instance, label: str,
         "instance_digest": instance_digest(inst),
         "variant": label,
         "status": status,
-        **_outcome(inst, sol, ("matching", "score_limits", "set_limits",
-                               "open", "open_groups")),
+        **_outcome(inst, sol, DOCUMENT_KEYS),
         "objective_values": objective_values,
         "verdict": verdict,
         "violations": [v.to_report() for v in violations],
@@ -345,8 +347,7 @@ def _cmd_enumerate(args, argv: list[str]) -> int:
     inst = _load_instance(args.instance)
     model, label, _plan = _build(inst, args.model, args.mode, args.group_policy)
     projection = [v.name for v in model.variables.values()
-                  if v.role in ("assign", "limit", "set_limit",
-                                "open", "group_open")]
+                  if v.role in OUTCOME_ROLES]
     started = time.monotonic()
     res = enumerate_feasible(model, projection, cap=args.cap,
                              node_cap=args.node_cap, time_cap=args.time_cap)

@@ -1,10 +1,15 @@
 """Solution container shared by the IP extraction path, the combinatorial
-algorithms and the stability oracle."""
+algorithms and the stability oracle, and its id-based file form: a
+matching, then the sections of SECTIONS, the one table that the writer,
+the reader, model decoding and the command line loop over. The file of a
+limits-only solution (empty matching, score limits present) has no
+matching; the score-limit check reads it off the limits."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .instance import Instance, SchemaError, Target
 
@@ -52,24 +57,46 @@ class Solution:
         return out
 
 
+class Section(NamedTuple):
+    key: str      # document key
+    field: str    # Solution field
+    role: str     # model variable role carrying its values
+    keys: str     # college (index, written as its id) | quota set | group (ids)
+    value: type   # int | bool
+
+
+SECTIONS = (
+    Section("score_limits", "score_limits", "limit", "college", int),
+    Section("set_limits", "set_limits", "set_limit", "quota set", int),
+    Section("open", "open_colleges", "open", "college", bool),
+    Section("open_groups", "open_groups", "group_open", "group", bool),
+)
+DOCUMENT_KEYS = ("matching", *(s.key for s in SECTIONS))
+OUTCOME_ROLES = ("assign", *(s.role for s in SECTIONS))
+LIMIT_ROLES = tuple(s.role for s in SECTIONS if s.value is int)
+_RECORDS = {"quota set": "common_quota_sets", "group": "lower_quota_groups"}
+
+
 def empty_matching(inst: Instance) -> dict[int, Target | None]:
     return {i: None for i in range(inst.n)}
 
 
+def by_college_ids(inst: Instance, values: dict[int, object]) -> dict[str, object]:
+    """A college-indexed dict keyed by college ids, in college order."""
+    return {inst.colleges[j].id: v for j, v in sorted(values.items())}
+
+
 def solution_to_document(inst: Instance, sol: Solution) -> dict:
-    """Id-based JSON document for a solution; sections beyond the
-    matching appear only when populated."""
-    doc: dict[str, object] = {"matching": sol.matching_by_ids(inst)}
-    if sol.score_limits:
-        doc["score_limits"] = {inst.colleges[j].id: v
-                               for j, v in sorted(sol.score_limits.items())}
-    if sol.set_limits:
-        doc["set_limits"] = dict(sorted(sol.set_limits.items()))
-    if sol.open_colleges:
-        doc["open"] = {inst.colleges[j].id: v
-                       for j, v in sorted(sol.open_colleges.items())}
-    if sol.open_groups:
-        doc["open_groups"] = dict(sorted(sol.open_groups.items()))
+    """Id-based JSON document for a solution: no matching for a
+    limits-only solution, other sections only when populated."""
+    doc: dict[str, object] = {}
+    if sol.matching or not sol.score_limits:
+        doc["matching"] = sol.matching_by_ids(inst)
+    for s in SECTIONS:
+        values = getattr(sol, s.field)
+        if values:
+            doc[s.key] = (by_college_ids(inst, values) if s.keys == "college"
+                          else dict(sorted(values.items())))
     return doc
 
 
@@ -86,72 +113,50 @@ def solution_from_document(inst: Instance, doc: object) -> Solution:
     instance and every named target must be on the applicant's list."""
     if not isinstance(doc, dict):
         raise SchemaError("$", "solution document must be an object")
-    known = {"matching", "score_limits", "set_limits", "open", "open_groups"}
     for key in doc:
-        if key not in known:
+        if key not in DOCUMENT_KEYS:
             raise SchemaError(f"$.{key}", "unknown solution section")
     matching = empty_matching(inst) if "matching" in doc else {}
-    raw = doc.get("matching")
-    if raw is not None:
-        if not isinstance(raw, dict):
-            raise SchemaError("$.matching", "must be an object")
-        for aid, value in raw.items():
-            try:
-                i = inst.applicant_index(aid)
-            except KeyError:
-                raise SchemaError(f"$.matching.{aid}", "unknown applicant") from None
-            if value is None:
-                matching[i] = None
-                continue
-            if isinstance(value, list):
-                if len(value) != 2:
-                    raise SchemaError(f"$.matching.{aid}",
-                                      "paired target must list two colleges")
-                target: Target = (
-                    _college(inst, f"$.matching.{aid}[0]", value[0]),
-                    _college(inst, f"$.matching.{aid}[1]", value[1]))
-            else:
-                target = _college(inst, f"$.matching.{aid}", value)
-            if not any(app.target == target for app in inst.by_applicant[i]):
+    for aid, value in _section(doc, "matching").items():
+        try:
+            i = inst.applicant_index(aid)
+        except KeyError:
+            raise SchemaError(f"$.matching.{aid}", "unknown applicant") from None
+        if value is None:
+            matching[i] = None
+            continue
+        if isinstance(value, list):
+            if len(value) != 2:
                 raise SchemaError(f"$.matching.{aid}",
-                                  "target is not on the applicant's list")
-            matching[i] = target
-    score_limits: dict[int, int] = {}
-    for cid, value in _section(doc, "score_limits").items():
-        j = _college(inst, f"$.score_limits.{cid}", cid)
-        score_limits[j] = _int(f"$.score_limits.{cid}", value)
-    set_limits: dict[str, int] = {}
-    known_sets = {qs.id for qs in inst.common_quota_sets}
-    for sid, value in _section(doc, "set_limits").items():
-        if sid not in known_sets:
-            raise SchemaError(f"$.set_limits.{sid}", "unknown quota set")
-        set_limits[sid] = _int(f"$.set_limits.{sid}", value)
-    open_colleges: dict[int, bool] = {}
-    for cid, value in _section(doc, "open").items():
-        j = _college(inst, f"$.open.{cid}", cid)
-        if not isinstance(value, bool):
-            raise SchemaError(f"$.open.{cid}", "must be true or false")
-        open_colleges[j] = value
-    open_groups: dict[str, bool] = {}
-    known_groups = {g.id for g in inst.lower_quota_groups}
-    for gid, value in _section(doc, "open_groups").items():
-        if gid not in known_groups:
-            raise SchemaError(f"$.open_groups.{gid}", "unknown group")
-        if not isinstance(value, bool):
-            raise SchemaError(f"$.open_groups.{gid}", "must be true or false")
-        open_groups[gid] = value
-    return Solution(matching=matching, score_limits=score_limits,
-                    set_limits=set_limits, open_colleges=open_colleges,
-                    open_groups=open_groups)
+                                  "paired target must list two colleges")
+            target: Target = tuple(_college(inst, f"$.matching.{aid}[{k}]", c)
+                                   for k, c in enumerate(value))
+        else:
+            target = _college(inst, f"$.matching.{aid}", value)
+        if not any(app.target == target for app in inst.by_applicant[i]):
+            raise SchemaError(f"$.matching.{aid}",
+                              "target is not on the applicant's list")
+        matching[i] = target
+    sections: dict[str, dict] = {}
+    for s in SECTIONS:
+        out = sections[s.field] = {}
+        known = None if s.keys == "college" else {
+            r.id for r in getattr(inst, _RECORDS[s.keys])}
+        for key, value in _section(doc, s.key).items():
+            path = f"$.{s.key}.{key}"
+            if known is None:
+                key = _college(inst, path, key)
+            elif key not in known:
+                raise SchemaError(path, f"unknown {s.keys}")
+            out[key] = _typed(path, s.value, value)
+    return Solution(matching=matching, **sections)
 
 
 def _section(doc: dict, key: str) -> dict:
     raw = doc.get(key)
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
+    if raw is not None and not isinstance(raw, dict):
         raise SchemaError(f"$.{key}", "must be an object")
-    return raw
+    return raw or {}
 
 
 def _college(inst: Instance, path: str, cid: object) -> int:
@@ -161,7 +166,8 @@ def _college(inst: Instance, path: str, cid: object) -> int:
         raise SchemaError(path, f"unknown college {cid!r}") from None
 
 
-def _int(path: str, value: object) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(path, "must be an integer")
+def _typed(path: str, kind: type, value: object) -> object:
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, int):
+        raise SchemaError(path, "must be true or false" if kind is bool
+                          else "must be an integer")
     return value

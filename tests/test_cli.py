@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_DIR, fixture_path, fixture_text
-from stableadmit import GenConfig, generate, serialize_instance
+from stableadmit import (GenConfig, Solution, check, generate, gs_scorelimits,
+                         serialize_instance, serialize_solution,
+                         solution_from_document)
 from stableadmit.cli import main
 
 SOLVE_KEYS = ["command", "instance_digest", "variant", "status", "matching",
@@ -275,6 +277,43 @@ def test_check_derives_matching_from_limits(capsys, tmp_path):
                        str(fixture_path("TWO")), partial)
     assert code == 1
     assert err == "error: missing score limit for college c2\n"
+
+
+def test_limits_only_solution_round_trips_through_its_file(capsys, tmp_path):
+    """A solution holding score limits and no matching is written without
+    a matching section, so the file reads back as the same solution and
+    both the library and `check --variant scorelimits` find it stable."""
+    inst = generate(GenConfig(n=6, m=2, seed=3, list_range=(1, 2),
+                              max_score=9, upper_range=(1, 2)))
+    _matching, limits = gs_scorelimits(inst, "applicant")
+    sol = Solution(matching={}, score_limits=limits.limits)
+    assert check(inst, sol, "scorelimits_H").verdict == "stable"
+    text = serialize_solution(inst, sol)
+    assert "matching" not in json.loads(text)
+    back = solution_from_document(inst, json.loads(text))
+    assert back == sol
+    assert check(inst, back, "scorelimits_H").verdict == "stable"
+    market = tmp_path / "market.json"
+    market.write_text(serialize_instance(inst), encoding="utf-8")
+    limits_file = tmp_path / "limits.json"
+    limits_file.write_text(text, encoding="utf-8")
+    code, doc, err = run(capsys, "check", "--variant", "scorelimits",
+                         str(market), str(limits_file))
+    assert (code, err, doc["verdict"]) == (0, "", "stable")
+
+
+def test_limits_only_outcome_lists_no_matching(capsys, tmp_path):
+    # the only applicant lists no college, so the outcome is its cutoff
+    market = write_json(tmp_path, "market.json", {
+        "max_score": 3, "colleges": [{"id": "c1", "upper": 1}],
+        "applicants": [{"id": "a1", "list": []}]})
+    code, doc, _ = run(capsys, "solve", market, "--model", "scorelimits")
+    assert code == 0 and doc["verdict"] == "stable"
+    assert (doc["matching"], doc["score_limits"]) == ({}, {"c1": 0})
+    code, doc, _ = run(capsys, "enumerate", market, "--model", "scorelimits",
+                       "--mode", "ties-full")
+    assert code == 0
+    assert doc["solutions"] == [{"score_limits": {"c1": 0}}]
 
 
 def test_check_limits_only_on_paired_market_is_refused(capsys, tmp_path):
