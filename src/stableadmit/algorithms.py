@@ -17,26 +17,24 @@ from heapq import heappop, heappush
 from math import inf
 
 from .instance import Application, Instance
-from .solution import Solution, by_college_ids, empty_matching
+from .solution import Solution, by_college_ids
 
 
 class AlgorithmError(ValueError):
     """Instance outside the algorithm's supported fragment."""
 
 
-@dataclass
-class Matching:
-    assignment: dict[int, int | None]  # applicant index -> college index or None
+class Matching(Solution):
+    """A Solution over simple applications, as the algorithms return it.
+    assignment, rank_of and to_solution stay for the benchmark's
+    pipelines, which read them."""
 
-    def intake(self, inst: Instance) -> list[int]:
-        counts = [0] * inst.m
-        for j in self.assignment.values():
-            if j is not None:
-                counts[j] += 1
-        return counts
+    @property
+    def assignment(self) -> dict[int, int | None]:
+        return self.matching
 
     def rank_of(self, inst: Instance, applicant: int) -> int | None:
-        j = self.assignment.get(applicant)
+        j = self.matching.get(applicant)
         if j is None:
             return None
         for app in inst.by_applicant[applicant]:
@@ -45,9 +43,7 @@ class Matching:
         raise ValueError("assignment target missing from the applicant's list")
 
     def to_solution(self, inst: Instance, **kwargs) -> Solution:
-        matching = empty_matching(inst)
-        matching.update(self.assignment)
-        return Solution(matching=matching, **kwargs)
+        return Solution(matching=dict(self.matching), **kwargs)
 
 
 @dataclass
@@ -91,7 +87,7 @@ def da(inst: Instance, side: str = "applicant", exclude: frozenset[int] = frozen
     if side not in _PROCEDURES:
         raise AlgorithmError(f"da: unknown side {side!r}")
     assignment, _ = _PROCEDURES[side](inst, exclude)
-    return Matching(assignment=assignment)
+    return Matching(assignment)
 
 
 def _rising(inst: Instance, exclude: frozenset[int]) -> tuple[dict[int, int | None], list[int]]:
@@ -185,7 +181,7 @@ def induced_matching(inst: Instance, limits: list[int]) -> Matching:
             if app.score >= limits[app.target]:
                 assignment[i] = app.target
                 break
-    return Matching(assignment=assignment)
+    return Matching(assignment)
 
 
 def gs_scorelimits(inst: Instance, side: str = "applicant") -> tuple[Matching, ScoreLimits]:
@@ -199,7 +195,7 @@ def gs_scorelimits(inst: Instance, side: str = "applicant") -> tuple[Matching, S
     if side not in _PROCEDURES:
         raise AlgorithmError(f"gs_scorelimits: unknown side {side!r}")
     assignment, limits = _PROCEDURES[side](inst, frozenset())
-    return Matching(assignment=assignment), ScoreLimits(limits=dict(enumerate(limits)))
+    return Matching(assignment), ScoreLimits(limits=dict(enumerate(limits)))
 
 
 def lower_quota_heuristic(inst: Instance) -> tuple[Matching, set[int], list[ClosureEvent]]:
@@ -215,7 +211,7 @@ def lower_quota_heuristic(inst: Instance) -> tuple[Matching, set[int], list[Clos
     closed: set[int] = set()
     trace: list[ClosureEvent] = []
     while True:
-        matching = Matching(assignment=_rising(inst, frozenset(closed))[0])
+        matching = Matching(_rising(inst, frozenset(closed))[0])
         intake = matching.intake(inst)
         violators = [j for j in range(inst.m)
                      if j not in closed and inst.colleges[j].lower > intake[j]]
@@ -225,7 +221,7 @@ def lower_quota_heuristic(inst: Instance) -> tuple[Matching, set[int], list[Clos
         choice = min(violators, key=lambda j: (
             Fraction(intake[j], inst.colleges[j].lower), intake[j], j))
         lowest = [inf] * inst.m
-        for i, j in matching.assignment.items():
+        for i, j in matching.matching.items():
             if j is not None:
                 lowest[j] = min(lowest[j], inst.score_of(i, j))
         cutoffs = {j: 0 if lowest[j] == inf else lowest[j]

@@ -11,7 +11,10 @@ build_combined adds the constraint families of tied scores, lower
 quotas and shared upper quotas to one model; the ties modes of
 build_scorelimits, build_lower and build_common are presets over it,
 as the strict mode is over build_paired; presets keep their own
-refusals and model names.
+refusals. Every builder names its model with the variant label that
+the command line prints: classical, classical+ties,
+scorelimits:<mode>, lower or lower+groups, common, paired,
+paired:via-common and combined[<features>;<policy>].
 
 Shared upper quotas and the paired reduction both run on seat pools,
 each a plain record naming the colleges whose seats it counts. One
@@ -43,6 +46,7 @@ from .solution import LIMIT_ROLES, SECTIONS, Solution
 
 SCORELIMIT_MODES = ("strict", "ties_min", "ties_full")
 GROUP_POLICIES = ("enforce", "drop_with_lex_objective")
+COMBINED_FEATURES = ("ties", "lower", "common")
 
 
 def _refuse(builder: str, why: str) -> None:
@@ -293,7 +297,7 @@ def build_classical(inst: Instance, ties: bool = False) -> LinearModel:
     matched applicants by rank on top of it.
     """
     _require("build_classical", inst, ties=ties)
-    model = LinearModel(name="classical")
+    model = LinearModel(name="classical+ties" if ties else "classical")
     nm = _Names(inst)
     _add_assignment(model, nm)
     _add_applicant_feasible(model, inst, nm)
@@ -322,7 +326,7 @@ def build_scorelimits(inst: Instance, mode: str = "strict") -> LinearModel:
         model = build_combined(inst, ties=True)
         if mode == "ties_full":
             model.objectives.clear()
-    model.name = f"scorelimits_{mode}"
+    model.name = f"scorelimits:{mode}"
     return model
 
 
@@ -339,7 +343,7 @@ def build_lower(inst: Instance) -> LinearModel:
     """
     _require("build_lower", inst, lower=True)
     model = build_combined(inst, lower=True)
-    model.name = "lower_groups" if inst.lower_quota_groups else "lower"
+    model.name = "lower+groups" if inst.lower_quota_groups else "lower"
     return model
 
 
@@ -542,7 +546,7 @@ def build_paired_via_common(inst: Instance) -> LinearModel:
     project onto the same matchings as build_paired.
     """
     _require("build_paired_via_common", inst, pairs=True)
-    model = LinearModel(name="paired_via_common")
+    model = LinearModel(name="paired:via-common")
     nm = _Names(inst)
     _add_assignment(model, nm)
     _add_applicant_feasible(model, inst, nm)
@@ -578,7 +582,9 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
     if lower and common and group_stability == "enforce":
         _refuse("build_combined", "incoherent policy: lower and common quotas "
                 "together require drop_with_lex_objective")
-    model = LinearModel(name="combined")
+    features = [f for f, on in zip(COMBINED_FEATURES, (ties, lower, common)) if on]
+    model = LinearModel(
+        name=f"combined[{','.join(features) or 'none'};{group_stability}]")
     nm = _Names(inst)
     _add_assignment(model, nm)
     if lower:
@@ -588,22 +594,18 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
         _add_lower_feasible(model, inst, nm)
         if inst.lower_quota_groups:
             _add_group_rows(model, inst, nm)
-    if ties or common:
-        if not lower and not common:
-            _add_college_feasible(model, inst, nm)
-        if common:
-            _emit_common_rows(model, inst, nm, _common_pools(inst, nm),
-                              open_relaxed=lower, with_flags=not ties)
-        else:
-            _add_limit_vars(model, inst, nm)
-            _add_limit_link(model, inst, nm, nm.entries, open_relaxed=lower)
-            if group_stability == "enforce":
-                _add_witness_closure(model, inst, nm)
-    elif lower:
-        _add_pairwise_stable(model, inst, nm, open_relaxed=True)
-    else:
+    if not lower and not common:
         _add_college_feasible(model, inst, nm)
-        _add_pairwise_stable(model, inst, nm)
+    if common:
+        _emit_common_rows(model, inst, nm, _common_pools(inst, nm),
+                          open_relaxed=lower, with_flags=not ties)
+    elif ties:
+        _add_limit_vars(model, inst, nm)
+        _add_limit_link(model, inst, nm, nm.entries, open_relaxed=lower)
+        if group_stability == "enforce":
+            _add_witness_closure(model, inst, nm)
+    else:
+        _add_pairwise_stable(model, inst, nm, open_relaxed=lower)
     if lower and group_stability == "enforce" and not inst.lower_quota_groups:
         _add_lower_stable_closed(model, inst, nm)
     if group_stability == "drop_with_lex_objective":

@@ -8,6 +8,10 @@ feasible outcome (check always exits 0 once it produces a verdict),
 outcome was found, 2 for proven infeasibility, and 3
 when the solver and the stability oracle disagree about a result.
 
+Each builder names its model with the variant label the reports print,
+so _build picks the builder and the audit plan and the label comes from
+model.name.
+
 Every successful solve is re-audited through the stability oracle; the
 verdict printed in a report always comes from the oracle, never from
 the solver alone. Model mixes without an oracle variant get only the
@@ -31,10 +35,10 @@ from functools import cache
 
 # induced_matching stays imported because the traced benchmark patches it here
 from .algorithms import AlgorithmError, induced_matching, lower_quota_heuristic
-from .builders import (add_named_objective, build_classical, build_combined,
-                       build_common, build_lower, build_paired,
-                       build_paired_via_common, build_scorelimits,
-                       decode_solution, extract_solution)
+from .builders import (COMBINED_FEATURES, add_named_objective,
+                       build_classical, build_combined, build_common,
+                       build_lower, build_paired, build_paired_via_common,
+                       build_scorelimits, decode_solution, extract_solution)
 from .instance import (Instance, InstanceError, instance_digest,
                        parse_instance, serialize_instance)
 from .generator import ConfigError, GenConfig, generate
@@ -58,7 +62,6 @@ CHECK_VARIANTS = {
     "common": "common",
     "paired": "paired",
 }
-COMBINED_FEATURES = ("ties", "lower", "common")
 
 
 class UsageError(Exception):
@@ -156,8 +159,9 @@ def _combined_policy(mode: str | None, group_policy: str | None
 
 
 def _build(inst: Instance, model_name: str, mode: str | None,
-           group_policy: str | None) -> tuple[LinearModel, str, str]:
-    """Returns (model, variant label, audit plan)."""
+           group_policy: str | None) -> tuple[LinearModel, str]:
+    """Returns (model, audit plan); the model's name is the variant
+    label."""
     if group_policy is not None and model_name != "combined":
         raise UsageError("--group-policy applies to --model combined only")
     if model_name == "classical":
@@ -165,36 +169,32 @@ def _build(inst: Instance, model_name: str, mode: str | None,
         if mode not in ("strict", "ties"):
             raise UsageError(f"classical has no mode {mode!r}")
         ties = mode == "ties"
-        return (build_classical(inst, ties=ties),
-                "classical" + ("+ties" if ties else ""),
-                "weak_ties" if ties else "classical")
+        return build_classical(inst, ties=ties), "weak_ties" if ties else "classical"
     if model_name == "scorelimits":
         mode = (mode or "strict").replace("-", "_")
         if mode not in ("strict", "ties_min", "ties_full"):
             raise UsageError(f"scorelimits has no mode {mode!r}")
-        plan = "classical" if mode == "strict" else "scorelimits_H"
-        return build_scorelimits(inst, mode=mode), f"scorelimits:{mode}", plan
+        return (build_scorelimits(inst, mode=mode),
+                "classical" if mode == "strict" else "scorelimits_H")
     if model_name == "lower":
         if mode:
             raise UsageError("model lower takes no --mode")
-        return (build_lower(inst),
-                "lower+groups" if inst.lower_quota_groups else "lower", "lower")
+        return build_lower(inst), "lower"
     if model_name == "common":
         if mode:
             raise UsageError("model common takes no --mode")
-        return build_common(inst), "common", "common"
+        return build_common(inst), "common"
     if model_name == "paired":
         mode = mode or "explicit"
         if mode == "explicit":
-            return build_paired(inst), "paired", "paired"
+            return build_paired(inst), "paired"
         if mode == "via-common":
-            return build_paired_via_common(inst), "paired:via-common", "paired"
+            return build_paired_via_common(inst), "paired"
         raise UsageError(f"paired has no mode {mode!r}")
     flags, policy = _combined_policy(mode, group_policy)
     model = build_combined(inst, ties=flags["ties"], lower=flags["lower"],
                            common=flags["common"], group_stability=policy)
     active = [f for f in COMBINED_FEATURES if flags[f]]
-    label = f"combined[{','.join(active) or 'none'};{policy}]"
     if not active:
         plan = "classical"
     elif len(active) == 1 and policy == "enforce":
@@ -202,7 +202,7 @@ def _build(inst: Instance, model_name: str, mode: str | None,
                 "common": "common"}[active[0]]
     else:
         plan = "unverified"
-    return model, label, plan
+    return model, plan
 
 
 def _apply_objective(inst: Instance, model: LinearModel, model_name: str,
@@ -323,7 +323,7 @@ def _solve_audited(inst: Instance, model: LinearModel, plan: str, args
 
 def _cmd_solve(args, argv: list[str]) -> int:
     inst = _load_instance(args.instance)
-    model, label, plan = _build(inst, args.model, args.mode, args.group_policy)
+    model, plan = _build(inst, args.model, args.mode, args.group_policy)
     if args.objective:
         _apply_objective(inst, model, args.model, args.mode, args.objective)
     preprocess_report = None
@@ -337,7 +337,7 @@ def _cmd_solve(args, argv: list[str]) -> int:
         apply_fixings(model, fixing)
         preprocess_report = fixing.to_report(inst)
     res, sol, verdict, violations, code = _solve_audited(inst, model, plan, args)
-    _emit(_solve_report(argv, inst, label, res.status, sol,
+    _emit(_solve_report(argv, inst, model.name, res.status, sol,
                         res.objective_values, verdict, violations,
                         preprocess_report, res.elapsed, res.nodes))
     return code
@@ -345,7 +345,7 @@ def _cmd_solve(args, argv: list[str]) -> int:
 
 def _cmd_enumerate(args, argv: list[str]) -> int:
     inst = _load_instance(args.instance)
-    model, label, _plan = _build(inst, args.model, args.mode, args.group_policy)
+    model, _plan = _build(inst, args.model, args.mode, args.group_policy)
     projection = [v.name for v in model.variables.values()
                   if v.role in OUTCOME_ROLES]
     started = time.monotonic()
@@ -355,7 +355,7 @@ def _cmd_enumerate(args, argv: list[str]) -> int:
     _emit({
         "command": "stableadmit " + " ".join(argv),
         "instance_digest": instance_digest(inst),
-        "variant": label,
+        "variant": model.name,
         "count": len(res.projections),
         "truncated": res.truncated,
         "solutions": [solution_to_document(inst, decode_solution(model, p))
@@ -393,7 +393,7 @@ def _cmd_compare(args, argv: list[str]) -> int:
         inst, open_colleges={j: j not in closed for j in range(inst.m)})
     heur_report = check(inst, heur_sol, "lower")
     res, sol, verdict, _violations, exit_code = _solve_audited(
-        inst, build_lower(inst), "lower", args)
+        inst, *_build(inst, "lower", None, None), args)
     ip = {"status": res.status, **_outcome(inst, sol, ("matching", "open")),
           "verdict": verdict}
     _emit({

@@ -181,7 +181,7 @@ def test_lower_group_flag_must_match_the_instance():
     plain = build_lower(load("I4B"))
     assert plain.name == "lower" and not plain.vars_by_role("group_open")
     model = build_lower(grouped_i4b())
-    assert model.name == "lower_groups" and model.vars_by_role("group_open")
+    assert model.name == "lower+groups" and model.vars_by_role("group_open")
 
 
 def test_common_feasible_sets_match_oracle():
