@@ -25,9 +25,8 @@ class AlgorithmError(ValueError):
 
 
 class Matching(Solution):
-    """A Solution over simple applications, as the algorithms return it.
-    assignment, rank_of and to_solution stay for the benchmark's
-    pipelines, which read them."""
+    """A Solution over simple applications, as the algorithms return it;
+    assignment, rank_of and to_solution stay for the benchmark to read."""
 
     @property
     def assignment(self) -> dict[int, int | None]:

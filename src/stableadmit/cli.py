@@ -8,9 +8,8 @@ feasible outcome (check always exits 0 once it produces a verdict),
 outcome was found, 2 for proven infeasibility, and 3
 when the solver and the stability oracle disagree about a result.
 
-Each builder names its model with the variant label the reports print,
-so _build picks the builder and the audit plan and the label comes from
-model.name.
+Each builder names its model with the variant label that solve and
+enumerate print; _build picks the builder and the audit plan.
 
 Every successful solve is re-audited through the stability oracle; the
 verdict printed in a report always comes from the oracle, never from
@@ -160,8 +159,7 @@ def _combined_policy(mode: str | None, group_policy: str | None
 
 def _build(inst: Instance, model_name: str, mode: str | None,
            group_policy: str | None) -> tuple[LinearModel, str]:
-    """Returns (model, audit plan); the model's name is the variant
-    label."""
+    """Returns (model, audit plan); model.name is the variant label."""
     if group_policy is not None and model_name != "combined":
         raise UsageError("--group-policy applies to --model combined only")
     if model_name == "classical":
@@ -185,24 +183,19 @@ def _build(inst: Instance, model_name: str, mode: str | None,
             raise UsageError("model common takes no --mode")
         return build_common(inst), "common"
     if model_name == "paired":
-        mode = mode or "explicit"
-        if mode == "explicit":
-            return build_paired(inst), "paired"
-        if mode == "via-common":
-            return build_paired_via_common(inst), "paired"
-        raise UsageError(f"paired has no mode {mode!r}")
+        if (mode or "explicit") not in ("explicit", "via-common"):
+            raise UsageError(f"paired has no mode {mode!r}")
+        build = build_paired_via_common if mode == "via-common" else build_paired
+        return build(inst), "paired"
     flags, policy = _combined_policy(mode, group_policy)
-    model = build_combined(inst, ties=flags["ties"], lower=flags["lower"],
-                           common=flags["common"], group_stability=policy)
+    model = build_combined(inst, **flags, group_stability=policy)
     active = [f for f in COMBINED_FEATURES if flags[f]]
     if not active:
-        plan = "classical"
-    elif len(active) == 1 and policy == "enforce":
-        plan = {"ties": "scorelimits_H", "lower": "lower",
-                "common": "common"}[active[0]]
-    else:
-        plan = "unverified"
-    return model, plan
+        return model, "classical"
+    if len(active) == 1 and policy == "enforce":
+        return model, {"ties": "scorelimits_H", "lower": "lower",
+                       "common": "common"}[active[0]]
+    return model, "unverified"
 
 
 def _apply_objective(inst: Instance, model: LinearModel, model_name: str,
