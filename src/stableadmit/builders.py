@@ -11,10 +11,8 @@ build_combined adds the constraint families of tied scores, lower
 quotas and shared upper quotas to one model; the ties modes of
 build_scorelimits, build_lower and build_common are presets over it,
 as the strict mode is over build_paired; presets keep their own
-refusals. Every builder names its model with the variant label that
-the command line prints: classical, classical+ties,
-scorelimits:<mode>, lower or lower+groups, common, paired,
-paired:via-common and combined[<features>;<policy>].
+refusals. Every model is named with the variant label the command
+line prints, such as scorelimits:ties_min or combined[ties;enforce].
 
 Shared upper quotas and the paired reduction both run on seat pools,
 each a plain record naming the colleges whose seats it counts. One
@@ -37,6 +35,7 @@ are integers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -372,8 +371,11 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
     pool (quota sets refuse pairs and union pools hold one college
     each), so no application sits in a pool twice. Each pool's intake
     is what sits in it, in application order. A rejected application
-    must fail the cutoff of at least one pool it sits in; per-pool
-    escape variables let it ignore the others. With open flags in play
+    must fail the cutoff of at least one pool it sits in; escape
+    variables let it ignore the others. An applicant's applications in
+    one pool share an escape (their scores there are equal), except
+    beside a pair: a pair has no pool of its own to absorb its escape
+    budget, so there each application gets its own. With open flags in play
     the colleges' own pools carry no quota row; the lower-quota rows cap
     them instead.
     """
@@ -399,13 +401,18 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
         for si, _score in within:
             intake[si].append(e.x)
         memberships.append(within)
-    used: dict[tuple[int, int], str] = {}
-    for e, within in zip(nm.entries, memberships):
-        i = e.app.applicant
-        for si, _score in within:
-            used.setdefault((i, si), f"esc_{i}_{pools[si].suffix}")
-    for (i, si), name in sorted(used.items()):
-        model.add_var(name, 0, 1, role="escape", key=(i, pools[si].label))
+    held = Counter((e.app.applicant, si)
+                   for e, within in zip(nm.entries, memberships) for si, _ in within)
+    split = {(e.app.applicant, si) for e, within in zip(nm.entries, memberships)
+             if e.app.is_paired for si, _ in within if held[e.app.applicant, si] > 1}
+    escape_keys = [[(e.app.applicant, si, e.app.rank) if (e.app.applicant, si) in split
+                    else (e.app.applicant, si) for si, _ in within]
+                   for e, within in zip(nm.entries, memberships)]
+    escape: dict[tuple, str] = {}
+    for key in sorted({key for keys in escape_keys for key in keys}):
+        i, si, *rank = key
+        escape[key] = "_".join(map(str, ("esc", i, pools[si].suffix, *rank)))
+        model.add_var(escape[key], 0, 1, role="escape", key=(i, pools[si].label, *rank))
     for pool, xs in zip(pools, intake):
         if pool.own and open_relaxed:
             continue
@@ -418,23 +425,20 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
                 "common_score_college", f"{e.subject}@{pool.label}",
                 {pool.limit: 1, e.x: top}, "<=", top + score)
     tag = "common_open_score_applicant" if open_relaxed else "common_score_applicant"
-    for e, within in zip(nm.entries, memberships):
-        i = e.app.applicant
+    for e, within, keys in zip(nm.entries, memberships, escape_keys):
         better = dict.fromkeys(nm.better(e), top)
-        for si, score in within:
+        for (si, score), key in zip(within, keys):
             pool = pools[si]
-            coeffs = {pool.limit: 1, **better, used[(i, si)]: top}
+            coeffs = {pool.limit: 1, **better, escape[key]: top}
             rhs = score + 1
             if open_relaxed:
                 coeffs[f"o_{e.app.target}"] = -top
                 rhs -= top
             model.add_constraint(tag, f"{e.subject}@{pool.label}",
                                  coeffs, ">=", rhs)
-    for e, within in zip(nm.entries, memberships):
-        i = e.app.applicant
-        coeffs = {used[(i, si)]: 1 for si, _ in within}
+    for e, keys in zip(nm.entries, escape_keys):
         model.add_constraint("common_escape_budget", e.subject,
-                             coeffs, "<=", len(within) - 1)
+                             {escape[key]: 1 for key in keys}, "<=", len(keys) - 1)
     if with_flags:
         for pool, xs in zip(pools, intake):
             coeffs = dict.fromkeys(xs, 1)

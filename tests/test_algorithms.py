@@ -6,7 +6,7 @@ import pytest
 
 import stableadmit.algorithms
 from conftest import load, matchings_of
-from stableadmit import (AlgorithmError, GenConfig, Solution,
+from stableadmit import (AlgorithmError, GenConfig, ScoreLimits, Solution,
                          build_scorelimits, check, da, enumerate_feasible,
                          enumerate_stable, from_document, generate,
                          gs_scorelimits, induced_matching,
@@ -92,6 +92,21 @@ def test_gs_scorelimits_frozen_values():
     matching, limits = gs_scorelimits(inst, "applicant")
     assert limits.limits == {0: 6}
     assert matching.assignment == {0: None, 1: None}
+
+
+def test_algorithm_answers_are_solutions_with_id_views():
+    inst = load("OPP")
+    matching, limits = gs_scorelimits(inst, "college")
+    assert limits.by_ids(inst) == {"c1": 2, "c2": 2}
+    assert list(ScoreLimits({1: 3, 0: 5}).by_ids(inst).items()) \
+        == [("c1", 5), ("c2", 3)]
+    assert isinstance(matching, Solution)
+    assert matching.assignment is matching.matching == {0: 1, 1: 0}
+    assert matching.intake(inst) == [1, 1]
+    assert [matching.rank_of(inst, i) for i in range(inst.n)] == [2, 2]
+    sol = matching.to_solution(inst, score_limits=limits.limits)
+    assert type(sol) is Solution and sol.matching is not matching.matching
+    assert check(inst, sol, "scorelimits_H").verdict == "stable"
 
 
 def test_gs_scorelimits_outputs_are_h_stable():

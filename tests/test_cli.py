@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_DIR, fixture_path, fixture_text
-from stableadmit import (GenConfig, Solution, check, generate, gs_scorelimits,
-                         serialize_instance, serialize_solution,
-                         solution_from_document)
-from stableadmit.cli import main
+from conftest import FIXTURE_DIR, fixture_path, fixture_text, grouped_i4b
+from stableadmit import (GenConfig, Solution, build_lower, check, generate,
+                         gs_scorelimits, parse_instance, serialize_instance,
+                         serialize_solution, solution_from_document)
+from stableadmit.cli import _build, main
 
 SOLVE_KEYS = ["command", "instance_digest", "variant", "status", "matching",
               "score_limits", "set_limits", "open", "open_groups",
@@ -152,6 +152,92 @@ def test_solve_paired_reduction(capsys):
     assert doc["verdict"] == "stable"
 
 
+def test_solve_paired_explicit(capsys):
+    code, doc, _ = run(capsys, "solve", str(fixture_path("PAIRMIX")),
+                       "--model", "paired")
+    assert code == 0
+    assert doc["variant"] == "paired"
+    assert doc["matching"] == {"a1": "c1", "a2": "c2"}
+    assert doc["score_limits"] == {"c1": 0, "c2": 5}
+    assert doc["verdict"] == "stable"
+
+
+def grouped_i4b_file(tmp_path):
+    path = tmp_path / "I4B+group.json"
+    path.write_text(serialize_instance(grouped_i4b()), encoding="utf-8")
+    return str(path)
+
+
+# Each accepted --model, --mode and --group-policy, a fixture it accepts
+# and the variant label its reports print.
+LABELS = [
+    ("I2", "classical", None, None, "classical"),
+    ("I2", "classical", "strict", None, "classical"),
+    ("I2", "classical", "ties", None, "classical+ties"),
+    ("I2", "scorelimits", None, None, "scorelimits:strict"),
+    ("I2", "scorelimits", "strict", None, "scorelimits:strict"),
+    ("I3", "scorelimits", "ties-min", None, "scorelimits:ties_min"),
+    ("I3", "scorelimits", "ties-full", None, "scorelimits:ties_full"),
+    ("I4B", "lower", None, None, "lower"),
+    ("I4B+group", "lower", None, None, "lower+groups"),
+    ("NEST", "common", None, None, "common"),
+    ("PAIR1", "paired", None, None, "paired"),
+    ("PAIR1", "paired", "explicit", None, "paired"),
+    ("PAIR1", "paired", "via-common", None, "paired:via-common"),
+    *[("I2", "combined", feats or None, policy,
+       f"combined[{feats or 'none'};{(policy or 'enforce').replace('-', '_')}]")
+      for feats in ("", "ties", "lower", "common", "ties,lower", "ties,common",
+                    "lower,common", "ties,lower,common")
+      for policy in (None, "drop-with-lex-objective")],
+]
+
+
+@pytest.mark.parametrize("fixture,model,mode,policy,label", LABELS,
+                         ids=[f"{row[4]}-{row[0]}-{row[2]}" for row in LABELS])
+def test_reports_print_the_builders_label(capsys, tmp_path, fixture, model,
+                                          mode, policy, label):
+    """solve and enumerate print the variant label, and it is the name of
+    the model the command built; lower and common quotas together under
+    the enforce policy are refused before any label is printed."""
+    if fixture == "I4B+group":
+        path = tmp_path / "I4B+group.json"
+        path.write_text(serialize_instance(grouped_i4b()), encoding="utf-8")
+    else:
+        path = fixture_path(fixture)
+    argv = [str(path), "--model", model, *(["--mode", mode] if mode else []),
+            *(["--group-policy", policy] if policy else [])]
+    if "lower,common" in label and "enforce" in label:
+        for command in ("solve", "enumerate"):
+            code, doc, err = run(capsys, command, *argv)
+            assert (code, doc) == (1, None) and "incoherent policy" in err
+        return
+    inst = parse_instance(path.read_text(encoding="utf-8"))
+    assert _build(inst, model, mode, policy)[0].name == label
+    for command in ("solve", "enumerate"):
+        code, doc, _ = run(capsys, command, *argv)
+        assert code == 0 and doc["variant"] == label, command
+
+
+def test_lower_commands_call_the_builder_at_call_time(capsys, monkeypatch):
+    """The CLI looks build_lower up on its module each time, so a wrapper
+    set there sees every lower-quota build of solve, enumerate and
+    compare."""
+    calls = []
+
+    def counting(inst):
+        calls.append(inst.n)
+        return build_lower(inst)
+
+    monkeypatch.setattr("stableadmit.cli.build_lower", counting)
+    path = str(fixture_path("I8"))
+    for argv in (["solve", path, "--model", "lower"],
+                 ["enumerate", path, "--model", "lower"],
+                 ["compare", path]):
+        before = len(calls)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == before + 1, argv[0]
+
+
 def test_solve_combined_single_feature_gets_full_audit(capsys):
     code, doc, _ = run(capsys, "solve", str(fixture_path("I4B")),
                        "--model", "combined", "--mode", "lower")
@@ -219,10 +305,18 @@ def test_solve_preprocess_report(capsys):
     (("solve", "I2", "--time-cap", "nan"), "--time-cap must be a number"),
     (("enumerate", "I2", "--time-cap", "nan"), "--time-cap must be a number"),
     (("compare", "I2", "--time-cap", "nan"), "--time-cap must be a number"),
+    (("solve", "I2", "--model", "scorelimits", "--mode", "frob"),
+     "scorelimits has no mode"),
+    (("solve", "I2", "--model", "common", "--mode", "nested"),
+     "model common takes no --mode"),
+    (("solve", "I2", "--model", "paired", "--mode", "frob"),
+     "paired has no mode"),
+    (("solve", "I8", "--model", "lower", "--objective", "min-score-limits"),
+     "min-score-limits needs a score-limit model"),
 ])
 def test_usage_errors_exit_1(capsys, argv, needle):
-    argv = [a if a != "I2" and a != "I3" and a != "I4B"
-            else str(fixture_path(a)) for a in argv]
+    argv = [str(fixture_path(a)) if a in ("I2", "I3", "I4B", "I8") else a
+            for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert needle in err
@@ -385,6 +479,48 @@ def test_check_rejects_malformed_solution_files(capsys, tmp_path):
                        str(fixture_path("I2")), str(garbled))
     assert code == 1
     assert "error:" in err
+
+
+def test_check_refuses_an_unknown_solution_section(capsys, tmp_path):
+    sol = write_json(tmp_path, "sol.json",
+                     {"matching": {"a1": None, "a2": None}, "bogus": {}})
+    code, doc, err = run(capsys, "check", "--variant", "classical",
+                         str(fixture_path("I2")), sol)
+    assert (code, doc) == (1, None)
+    assert err == "error: $.bogus: unknown solution section\n"
+
+
+# One document per rule of Instance.validate on quota sets and lower
+# groups that the document reader leaves to it; each breaks that rule only.
+_TWO_COLLEGES = {
+    "max_score": 5,
+    "colleges": [{"id": "c1", "upper": 1}, {"id": "c2", "upper": 1}],
+    "applicants": [{"id": "a1", "list": [
+        {"rank": 1, "college": "c1", "score": 3}]}],
+}
+
+
+@pytest.mark.parametrize("extra,message", [
+    pytest.param({"common_quotas": [
+        {"id": "s1", "members": ["c1", "c2"], "upper": 1},
+        {"id": "s1", "members": ["c1", "c2"], "upper": 1}]},
+        "duplicate quota set id s1", id="quota-set-id"),
+    pytest.param({"lower_groups": [
+        {"id": "g1", "members": ["c1"], "lower": 1},
+        {"id": "g1", "members": ["c2"], "lower": 1}]},
+        "duplicate lower group id g1", id="group-id"),
+    pytest.param({"common_quotas": [
+        {"id": "s1", "members": ["c1", "c1"], "upper": 1}]},
+        "quota set s1: duplicate member", id="quota-set-member"),
+    pytest.param({"lower_groups": [
+        {"id": "g1", "members": ["c1", "c1"], "lower": 1}]},
+        "lower group g1: duplicate member", id="group-member"),
+])
+def test_validate_names_the_duplicate(capsys, tmp_path, extra, message):
+    path = write_json(tmp_path, "inst.json", {**_TWO_COLLEGES, **extra})
+    code, doc, err = run(capsys, "validate", path)
+    assert (code, doc) == (1, None)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("fixture,doc,message", [

@@ -526,7 +526,10 @@ def test_digests_are_pinned():
 
       PYTHONPATH=src:tests python -c "import json, test_instance as t; \\
         print(json.dumps(t.instance_pins(), indent=1, sort_keys=True))" \\
-        > tests/instance_pins.json
+        > tests/instance_pins.json.new
+      mv tests/instance_pins.json.new tests/instance_pins.json
+
+    (through a second file, since this module reads the pins on import)
     """
     assert digest_pins() == INSTANCE_PINS["digests"]
 
