@@ -373,11 +373,13 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
     is what sits in it, in application order. A rejected application
     must fail the cutoff of at least one pool it sits in; escape
     variables let it ignore the others. An applicant's applications in
-    one pool share an escape (their scores there are equal), except
-    beside a pair: a pair has no pool of its own to absorb its escape
-    budget, so there each application gets its own. With open flags in play
-    the colleges' own pools carry no quota row; the lower-quota rows cap
-    them instead.
+    one pool share an escape there, and each simple application also
+    has the private escape of its college's own pool. A pair has no
+    such pool, so where it shares a union pool with another of the
+    applicant's applications each gets its own escape there; a shared
+    one would tie the pair's escape budget to the other's. With open
+    flags in play the colleges' own pools carry no quota row; the
+    lower-quota rows cap them instead.
     """
     top = inst.max_score + 1
     for pool in pools:
@@ -401,18 +403,26 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
         for si, _score in within:
             intake[si].append(e.x)
         memberships.append(within)
-    held = Counter((e.app.applicant, si)
-                   for e, within in zip(nm.entries, memberships) for si, _ in within)
-    split = {(e.app.applicant, si) for e, within in zip(nm.entries, memberships)
-             if e.app.is_paired for si, _ in within if held[e.app.applicant, si] > 1}
-    escape_keys = [[(e.app.applicant, si, e.app.rank) if (e.app.applicant, si) in split
-                    else (e.app.applicant, si) for si, _ in within]
-                   for e, within in zip(nm.entries, memberships)]
-    escape: dict[tuple, str] = {}
-    for key in sorted({key for keys in escape_keys for key in keys}):
-        i, si, *rank = key
-        escape[key] = "_".join(map(str, ("esc", i, pools[si].suffix, *rank)))
-        model.add_var(escape[key], 0, 1, role="escape", key=(i, pools[si].label, *rank))
+    split: set[tuple[int, int]] = set()     # (applicant, pool) beside a pair
+    if inst.has_pairs:
+        held = Counter((e.app.applicant, si)
+                       for e, within in zip(nm.entries, memberships) for si, _ in within)
+        split = {(e.app.applicant, si) for e, within in zip(nm.entries, memberships)
+                 if e.app.is_paired for si, _ in within if held[e.app.applicant, si] > 1}
+    used: dict[tuple, str] = {}             # escape key -> variable name
+    escapes: list[list[str]] = []           # per entry, one per membership
+    for e, within in zip(nm.entries, memberships):
+        i, rank = e.app.applicant, e.app.rank
+        names = []
+        for si, _score in within:
+            suffix = pools[si].suffix
+            if (i, si) in split:
+                names.append(used.setdefault((i, si, rank), f"esc_{i}_{suffix}_{rank}"))
+            else:
+                names.append(used.setdefault((i, si), f"esc_{i}_{suffix}"))
+        escapes.append(names)
+    for (i, si, *rank), name in sorted(used.items()):
+        model.add_var(name, 0, 1, role="escape", key=(i, pools[si].label, *rank))
     for pool, xs in zip(pools, intake):
         if pool.own and open_relaxed:
             continue
@@ -425,20 +435,20 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
                 "common_score_college", f"{e.subject}@{pool.label}",
                 {pool.limit: 1, e.x: top}, "<=", top + score)
     tag = "common_open_score_applicant" if open_relaxed else "common_score_applicant"
-    for e, within, keys in zip(nm.entries, memberships, escape_keys):
+    for e, within, names in zip(nm.entries, memberships, escapes):
         better = dict.fromkeys(nm.better(e), top)
-        for (si, score), key in zip(within, keys):
+        for (si, score), esc in zip(within, names):
             pool = pools[si]
-            coeffs = {pool.limit: 1, **better, escape[key]: top}
+            coeffs = {pool.limit: 1, **better, esc: top}
             rhs = score + 1
             if open_relaxed:
                 coeffs[f"o_{e.app.target}"] = -top
                 rhs -= top
             model.add_constraint(tag, f"{e.subject}@{pool.label}",
                                  coeffs, ">=", rhs)
-    for e, keys in zip(nm.entries, escape_keys):
+    for e, names in zip(nm.entries, escapes):
         model.add_constraint("common_escape_budget", e.subject,
-                             {escape[key]: 1 for key in keys}, "<=", len(keys) - 1)
+                             dict.fromkeys(names, 1), "<=", len(names) - 1)
     if with_flags:
         for pool, xs in zip(pools, intake):
             coeffs = dict.fromkeys(xs, 1)

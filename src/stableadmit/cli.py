@@ -34,7 +34,7 @@ from functools import cache
 
 # induced_matching stays imported because the traced benchmark patches it here
 from .algorithms import AlgorithmError, induced_matching, lower_quota_heuristic
-from .builders import (COMBINED_FEATURES, add_named_objective,
+from .builders import (COMBINED_FEATURES, SCORELIMIT_MODES, add_named_objective,
                        build_classical, build_combined, build_common,
                        build_lower, build_paired, build_paired_via_common,
                        build_scorelimits, decode_solution, extract_solution)
@@ -170,7 +170,7 @@ def _build(inst: Instance, model_name: str, mode: str | None,
         return build_classical(inst, ties=ties), "weak_ties" if ties else "classical"
     if model_name == "scorelimits":
         mode = (mode or "strict").replace("-", "_")
-        if mode not in ("strict", "ties_min", "ties_full"):
+        if mode not in SCORELIMIT_MODES:
             raise UsageError(f"scorelimits has no mode {mode!r}")
         return (build_scorelimits(inst, mode=mode),
                 "classical" if mode == "strict" else "scorelimits_H")
@@ -385,8 +385,9 @@ def _cmd_compare(args, argv: list[str]) -> int:
     heur_sol = matching.to_solution(
         inst, open_colleges={j: j not in closed for j in range(inst.m)})
     heur_report = check(inst, heur_sol, "lower")
+    model, plan = _build(inst, "lower", None, None)
     res, sol, verdict, _violations, exit_code = _solve_audited(
-        inst, *_build(inst, "lower", None, None), args)
+        inst, model, plan, args)
     ip = {"status": res.status, **_outcome(inst, sol, ("matching", "open")),
           "verdict": verdict}
     _emit({
