@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .instance import Application, Instance
@@ -373,13 +374,10 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
     is what sits in it, in application order. A rejected application
     must fail the cutoff of at least one pool it sits in; escape
     variables let it ignore the others. An applicant's applications in
-    one pool share an escape there, and each simple application also
-    has the private escape of its college's own pool. A pair has no
-    such pool, so where it shares a union pool with another of the
-    applicant's applications each gets its own escape there; a shared
-    one would tie the pair's escape budget to the other's. With open
-    flags in play the colleges' own pools carry no quota row; the
-    lower-quota rows cap them instead.
+    one pool share an escape, except beside a pair: a pair has no pool
+    of its own, so a shared escape would tie its escape budget to the
+    other application's. With open flags in play the colleges' own
+    pools carry no quota row; the lower-quota rows cap them instead.
     """
     top = inst.max_score + 1
     for pool in pools:
@@ -405,22 +403,19 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
         memberships.append(within)
     split: set[tuple[int, int]] = set()     # (applicant, pool) beside a pair
     if inst.has_pairs:
-        held = Counter((e.app.applicant, si)
-                       for e, within in zip(nm.entries, memberships) for si, _ in within)
+        held = Counter((e.app.applicant, si) for e, within
+                       in zip(nm.entries, memberships) for si, _ in within)
         split = {(e.app.applicant, si) for e, within in zip(nm.entries, memberships)
                  if e.app.is_paired for si, _ in within if held[e.app.applicant, si] > 1}
     used: dict[tuple, str] = {}             # escape key -> variable name
     escapes: list[list[str]] = []           # per entry, one per membership
     for e, within in zip(nm.entries, memberships):
         i, rank = e.app.applicant, e.app.rank
-        names = []
-        for si, _score in within:
-            suffix = pools[si].suffix
-            if (i, si) in split:
-                names.append(used.setdefault((i, si, rank), f"esc_{i}_{suffix}_{rank}"))
-            else:
-                names.append(used.setdefault((i, si), f"esc_{i}_{suffix}"))
-        escapes.append(names)
+        escapes.append([
+            used.setdefault((i, si, rank), f"esc_{i}_{pools[si].suffix}_{rank}")
+            if (i, si) in split
+            else used.setdefault((i, si), f"esc_{i}_{pools[si].suffix}")
+            for si, _score in within])
     for (i, si, *rank), name in sorted(used.items()):
         model.add_var(name, 0, 1, role="escape", key=(i, pools[si].label, *rank))
     for pool, xs in zip(pools, intake):
@@ -596,9 +591,8 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
     if lower and common and group_stability == "enforce":
         _refuse("build_combined", "incoherent policy: lower and common quotas "
                 "together require drop_with_lex_objective")
-    features = [f for f, on in zip(COMBINED_FEATURES, (ties, lower, common)) if on]
-    model = LinearModel(
-        name=f"combined[{','.join(features) or 'none'};{group_stability}]")
+    features = ",".join(compress(COMBINED_FEATURES, (ties, lower, common)))
+    model = LinearModel(name=f"combined[{features or 'none'};{group_stability}]")
     nm = _Names(inst)
     _add_assignment(model, nm)
     if lower:

@@ -199,12 +199,11 @@ def _build(inst: Instance, model_name: str, mode: str | None,
 
 
 def _apply_objective(inst: Instance, model: LinearModel, model_name: str,
-                     mode: str | None, objective: str) -> None:
-    mode = (mode or "").replace("-", "_")
+                     objective: str) -> None:
     if model_name == "combined":
         raise UsageError("combined objectives are fixed by the policy; "
                          "--objective is not accepted")
-    if model_name == "scorelimits" and mode == "ties_min":
+    if model.name == "scorelimits:ties_min":
         raise UsageError("scorelimits ties-min carries its own objective")
     if objective.startswith("applicant-") and model_name != "classical":
         raise UsageError(f"{objective} applies to --model classical only")
@@ -318,7 +317,7 @@ def _cmd_solve(args, argv: list[str]) -> int:
     inst = _load_instance(args.instance)
     model, plan = _build(inst, args.model, args.mode, args.group_policy)
     if args.objective:
-        _apply_objective(inst, model, args.model, args.mode, args.objective)
+        _apply_objective(inst, model, args.model, args.objective)
     preprocess_report = None
     if args.preprocess:
         if not model.vars_by_role("open"):
