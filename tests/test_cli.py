@@ -162,12 +162,6 @@ def test_solve_paired_explicit(capsys):
     assert doc["verdict"] == "stable"
 
 
-def grouped_i4b_file(tmp_path):
-    path = tmp_path / "I4B+group.json"
-    path.write_text(serialize_instance(grouped_i4b()), encoding="utf-8")
-    return str(path)
-
-
 # Each accepted --model, --mode and --group-policy, a fixture it accepts
 # and the variant label its reports print.
 LABELS = [
