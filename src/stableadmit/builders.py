@@ -15,10 +15,10 @@ refusals. Every model is named with the variant label the command
 line prints, such as scorelimits:ties_min or combined[ties;enforce].
 
 Shared upper quotas and the paired reduction both run on seat pools,
-each a plain record naming the colleges whose seats it counts. One
-membership rule places every application: it sits in each pool holding
-one of its colleges, at its score there, except that a college's own
-pool skips paired applications.
+each a plain record naming the colleges whose seats it counts. Every
+college has one pool of its own, and one membership rule places every
+application, simple or paired: it sits in each pool holding one of its
+colleges, at its score there.
 
 Each build formats its assignment and cutoff names and its per-entry
 row subjects once, in _Names, and every row reads them from there. The
@@ -35,7 +35,6 @@ are integers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple, Sequence
@@ -366,18 +365,20 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
                       with_flags: bool = True) -> None:
     """Shared-pool cutoff machinery.
 
-    One membership rule: an application sits in every pool holding one
-    of its colleges, at its score there, except that a college's own
-    pool skips paired applications. A pair's two colleges never share a
-    pool (quota sets refuse pairs and union pools hold one college
-    each), so no application sits in a pool twice. Each pool's intake
-    is what sits in it, in application order. A rejected application
-    must fail the cutoff of at least one pool it sits in; escape
-    variables let it ignore the others. An applicant's applications in
-    one pool share an escape, except beside a pair: a pair has no pool
-    of its own, so a shared escape would tie its escape budget to the
-    other application's. With open flags in play the colleges' own
-    pools carry no quota row; the lower-quota rows cap them instead.
+    One membership rule: an application, simple or paired, sits in
+    every pool holding one of its colleges, at its score there. A pair's
+    two colleges never share a pool (quota sets refuse pairs and a
+    college's own pool holds that college alone), so no application
+    sits in a pool twice. Each pool's intake is what sits in it, in
+    application order. A rejected application must fail the cutoff of
+    at least one pool it sits in; escape variables let it ignore the
+    others. A paired application has escapes of its own, one per pool,
+    keyed (applicant, pool, rank); every other application of an
+    applicant shares one escape per pool, keyed (applicant, pool). A
+    shared escape would tie a pair's escape budget to that of a simple
+    application at one of its colleges. With open flags in play the
+    colleges' own pools carry no quota row; the lower-quota rows cap
+    them instead.
     """
     top = inst.max_score + 1
     for pool in pools:
@@ -394,26 +395,18 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
     intake: list[list[str]] = [[] for _ in pools]
     memberships: list[list[tuple[int, int]]] = []
     for e in nm.entries:
-        app = e.app
-        within = [(si, app.score_at(j)) for j in app.colleges()
-                  for si in holding[j]
-                  if not (app.is_paired and pools[si].own)]
+        within = [(si, e.app.score_at(j)) for j in e.app.colleges()
+                  for si in holding[j]]
         for si, _score in within:
             intake[si].append(e.x)
         memberships.append(within)
-    split: set[tuple[int, int]] = set()     # (applicant, pool) beside a pair
-    if inst.has_pairs:
-        held = Counter((e.app.applicant, si) for e, within
-                       in zip(nm.entries, memberships) for si, _ in within)
-        split = {(e.app.applicant, si) for e, within in zip(nm.entries, memberships)
-                 if e.app.is_paired for si, _ in within if held[e.app.applicant, si] > 1}
     used: dict[tuple, str] = {}             # escape key -> variable name
     escapes: list[list[str]] = []           # per entry, one per membership
     for e, within in zip(nm.entries, memberships):
         i, rank = e.app.applicant, e.app.rank
         escapes.append([
             used.setdefault((i, si, rank), f"esc_{i}_{pools[si].suffix}_{rank}")
-            if (i, si) in split
+            if e.app.is_paired
             else used.setdefault((i, si), f"esc_{i}_{pools[si].suffix}")
             for si, _score in within])
     for (i, si, *rank), name in sorted(used.items()):
@@ -455,7 +448,7 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
 
 
 def _college_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
-    """Each college's own pool over its simple applications."""
+    """Each college's own pool over every application taking its seats."""
     return [
         _SeatPool(True, c.id, f"c{j}", nm.limit[j], f"f_{j}", j, c.upper, (j,))
         for j, c in enumerate(inst.colleges)
@@ -533,33 +526,21 @@ def build_paired(inst: Instance) -> LinearModel:
     return model
 
 
-def _paired_reduction_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
-    touched = sorted({j for a in inst.applications if a.is_paired
-                      for j in a.colleges()})
-    pools = _college_pools(inst, nm)
-    for j in touched:
-        label = f"all({inst.colleges[j].id})"
-        pools.append(_SeatPool(False, label, f"u{j}", f"tuni_{j}", f"funi_{j}",
-                               label, inst.colleges[j].upper, (j,)))
-    return pools
-
-
 def build_paired_via_common(inst: Instance) -> LinearModel:
     """Paired applications recast as shared seat pools.
 
     A pair behaves like one artificial college sitting inside the pools
-    of both real colleges. Each real college touched by a pair gets a
-    pool over everything that takes its seats, capped and flagged at
-    the college's own quota; the college's private pool over simple
-    applications stays as a harmless valve. The feasible assignments
-    project onto the same matchings as build_paired.
+    of both real colleges. Each college keeps one pool over everything
+    that takes its seats, capped and flagged at its own quota, and its
+    cutoff is the college's score limit. The feasible assignments and
+    score limits project onto the same outcomes as build_paired.
     """
     _require("build_paired_via_common", inst, pairs=True)
     model = LinearModel(name="paired:via-common")
     nm = _Names(inst)
     _add_assignment(model, nm)
     _add_applicant_feasible(model, inst, nm)
-    _emit_common_rows(model, inst, nm, _paired_reduction_pools(inst, nm))
+    _emit_common_rows(model, inst, nm, _college_pools(inst, nm))
     return model
 
 

@@ -9,15 +9,17 @@ import pytest
 
 from conftest import (BUILDS, FIXTURE_DIR, classical_with, grouped_i4b, load,
                       matchings_of, t_projection, x_projection)
-from stableadmit import (GenConfig, ModelError, SchemaError, ShapeError,
-                         SizeGuardError, build_classical, build_combined,
-                         build_common, build_lower, build_paired,
+from stableadmit import (GenConfig, ModelError, ShapeError, SizeGuardError,
+                         build_classical, build_combined, build_common,
+                         build_lower, build_paired,
                          build_paired_via_common, build_scorelimits, check,
                          enumerate_feasible, enumerate_stable,
                          extract_solution, generate, parse_instance,
                          serialize_solution, solution_from_document,
                          solution_to_document, solve, solve_lex)
+from stableadmit.builders import add_named_objective
 from stableadmit.oracle import quota_breaches
+from stableadmit.solution import OUTCOME_ROLES
 
 
 def assign_names(model):
@@ -215,12 +217,28 @@ def test_paired_feasible_sets_match_oracle():
     assert t1s and all(t[0] >= 4 and t[1] == 0 for t in t1s)
 
 
+def outcomes(model):
+    """What `stableadmit enumerate` lists: every value the outcome
+    variables take over the feasible set, in the solver's order."""
+    names = [v.name for v in model.variables.values() if v.role in OUTCOME_ROLES]
+    res = enumerate_feasible(model, names)
+    assert not res.truncated
+    return res.projections
+
+
+def min_score_limits(build, inst):
+    model = build(inst)
+    add_named_objective(inst, model, "min_score_limits")
+    res = solve(model, node_cap=20_000)
+    return res.status, res.objective_values
+
+
 @pytest.mark.parametrize("name", ["PAIR0", "PAIR1", "PAIRMIX"])
 def test_paired_reduction_agrees_with_explicit_model(name):
     inst = load(name)
-    explicit = enum_x(build_paired(inst))
-    reduced = enum_x(build_paired_via_common(inst))
-    assert explicit == reduced == oracle_x(inst, "paired")
+    explicit, reduced = build_paired(inst), build_paired_via_common(inst)
+    assert enum_x(explicit) == enum_x(reduced) == oracle_x(inst, "paired")
+    assert outcomes(reduced) == outcomes(explicit)
 
 
 def test_paired_infeasible_when_stable_set_empty():
@@ -228,8 +246,9 @@ def test_paired_infeasible_when_stable_set_empty():
     assert solve(build_paired_via_common(load("I7"))).status == "infeasible"
 
 
-# Small paired markets: on three seeds of the first an applicant holds a
-# pair and another application in one union pool all(c).
+# Small paired markets: on three seeds of the first an applicant's pair
+# and another of its applications take seats at one college, so both sit
+# in that college's pool.
 VIA_COMMON_MARKETS = (
     dict(n=6, m=3, list_range=(1, 3), max_score=12, upper_range=(1, 2),
          pair_prob=0.35),
@@ -256,19 +275,26 @@ def test_via_common_escapes_are_per_application_beside_a_pair(seed):
 
 def test_via_common_status_agrees_with_explicit_on_generated_markets():
     """300 seeds of each market with pairs: the reduction is feasible
-    exactly where the explicit model is, and its outcome is stable."""
+    exactly where the explicit model is, and its outcome is stable. On
+    the first market it also lists the explicit model's outcomes and
+    reaches its least score-limit total."""
     for cfg in VIA_COMMON_MARKETS:
         for seed in range(300):
             inst = generate(GenConfig(seed=seed, **cfg))
             if not inst.has_pairs:
                 continue
-            want = solve(build_paired(inst)).status
+            explicit = build_paired(inst)
+            want = solve(explicit).status
             model = build_paired_via_common(inst)
             res = solve(model)
             assert res.status == want, (cfg, seed)
             if res.assignment is not None:
                 sol = extract_solution(model, res.assignment)
                 assert check(inst, sol, "paired").verdict == "stable", seed
+            if cfg is VIA_COMMON_MARKETS[0]:
+                assert min_score_limits(build_paired_via_common, inst) \
+                    == min_score_limits(build_paired, inst), seed
+                assert outcomes(model) == outcomes(explicit), seed
 
 
 def test_combined_without_features_equals_classical():
@@ -435,13 +461,7 @@ EMPTY_LISTS = json.dumps({
     "applicants": [{"id": "a1", "list": []}, {"id": "a2", "list": []}]})
 
 
-@pytest.mark.parametrize("label", [
-    pytest.param(label, marks=pytest.mark.xfail(
-        raises=SchemaError, strict=True,
-        reason="the union-pool cutoffs all(c) are written as set_limits, "
-               "which the reader refuses as unknown quota sets"))
-    if label == "paired_via_common" else label
-    for label in sorted(BUILDS)])
+@pytest.mark.parametrize("label", sorted(BUILDS))
 def test_decoded_outcomes_survive_their_solution_file(label):
     """Every accepted pair of test_builder_formulations_are_pinned, plus a
     market whose applicants list nothing: the solved outcome written,

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_DIR, fixture_path, fixture_text, grouped_i4b
-from stableadmit import (GenConfig, Solution, build_lower, check, generate,
-                         gs_scorelimits, parse_instance, serialize_instance,
-                         serialize_solution, solution_from_document)
+from stableadmit import (GenConfig, Solution, build_lower,
+                         build_paired_via_common, check, extract_solution,
+                         generate, gs_scorelimits, parse_instance,
+                         serialize_instance, serialize_solution,
+                         solution_from_document, solve)
 from stableadmit.cli import _build, main
 
 SOLVE_KEYS = ["command", "instance_digest", "variant", "status", "matching",
@@ -143,13 +145,24 @@ def test_empty_lex_stage_ends_at_its_first_leaf(capsys):
     assert doc["solver"]["nodes"] == 5
 
 
-def test_solve_paired_reduction(capsys):
+def test_solve_paired_reduction(capsys, tmp_path):
+    """The reduction reports its pool cutoffs as score limits, and its
+    outcome passes `check` when read back from its own file."""
     code, doc, _ = run(capsys, "solve", str(fixture_path("PAIR1")),
                        "--model", "paired", "--mode", "via-common")
     assert code == 0
     assert doc["variant"] == "paired:via-common"
     assert doc["matching"] == {"a1": None, "a2": "c1"}
+    assert (doc["score_limits"], doc["set_limits"]) == ({"c1": 4, "c2": 0}, {})
     assert doc["verdict"] == "stable"
+    inst = parse_instance(fixture_text("PAIR1"))
+    model = build_paired_via_common(inst)
+    sol = extract_solution(model, solve(model).assignment)
+    path = tmp_path / "sol.json"
+    path.write_text(serialize_solution(inst, sol), encoding="utf-8")
+    code, doc, err = run(capsys, "check", "--variant", "paired",
+                         str(fixture_path("PAIR1")), str(path))
+    assert (code, err, doc["verdict"]) == (0, "", "stable")
 
 
 def test_solve_paired_explicit(capsys):
