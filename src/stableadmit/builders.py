@@ -14,18 +14,23 @@ as the strict mode is over build_paired; presets keep their own
 refusals. Every model is named with the variant label the command
 line prints, such as scorelimits:ties_min or combined[ties;enforce].
 
-Shared upper quotas and the paired reduction both run on seat pools,
-each a plain record naming the colleges whose seats it counts. Every
-college has one pool of its own, and one membership rule places every
-application, simple or paired: it sits in each pool holding one of its
-colleges, at its score there.
+Every score-limit model (strict, tied, common, paired explicit and
+via-common) runs on seat pools, each a plain record naming the colleges
+whose seats it counts and its cutoff and filled-flag variables. Every
+college has one pool of its own and each common quota set adds one.
+One membership rule places every application, simple or paired: it
+sits in each pool holding one of its colleges, at its score there. One
+emitter, _emit_common_rows, writes the cutoff rows over the pools: an
+admitted application meets the cutoffs of its pools, and a rejected
+one holds a better seat or fails one of them, picked by escape
+variables where it sits in several. The two paired modes differ only
+in how a pair encodes its escapes.
 
 Each build formats its assignment and cutoff names and its per-entry
-row subjects once, in _Names, and every row reads them from there. The
-flag names o_{j}, f_{j}, yflag_{j} and ogrp_{g} are not in that table:
-each row that uses one formats it again, once per row. So the work of
-a build grows with the rows and nonzeros it emits, each of which
-LinearModel checks.
+row subjects once, in _Names, and each pool record its filled-flag
+name. The flag names o_{j}, yflag_{j} and ogrp_{g} are formatted again
+by each row that uses one. So the work of a build grows with the rows
+and nonzeros it emits, each of which LinearModel checks.
 
 Big-M constants stay at their defining sizes rather than being
 tightened, keeping every row auditable against the stability
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .instance import Application, Instance
 from .linmodel import LinearModel, ModelError, assignment_satisfies
@@ -158,51 +163,6 @@ def _add_pairwise_stable(model: LinearModel, inst: Instance, nm: _Names,
             coeffs[f"o_{j}"] = -u
             rhs = 0
         model.add_constraint(tag, e.subject, coeffs, ">=", rhs)
-
-
-def _add_limit_vars(model: LinearModel, inst: Instance, nm: _Names) -> None:
-    top = inst.max_score + 1
-    for j, name in enumerate(nm.limit):
-        model.add_var(name, 0, top, role="limit", key=j)
-
-
-def _add_limit_link(model: LinearModel, inst: Instance, nm: _Names,
-                    entries: Sequence[_Entry], *,
-                    open_relaxed: bool = False) -> None:
-    """Tie cutoffs to the matching over the given simple applications:
-    admitted applicants meet the cutoff, rejected ones fail it or hold a
-    better seat (or the college is closed when open flags are in play)."""
-    top = inst.max_score + 1
-    for e in entries:
-        model.add_constraint(
-            "score_stable_college", e.subject,
-            {nm.limit[e.app.target]: 1, e.x: top}, "<=", top + e.app.score)
-    for e in entries:
-        j = e.app.target
-        coeffs = {nm.limit[j]: 1}
-        for name in nm.better(e):
-            coeffs[name] = top
-        if open_relaxed:
-            coeffs[f"o_{j}"] = -top
-            model.add_constraint("open_score_stable_applicant", e.subject,
-                                 coeffs, ">=", e.app.score + 1 - top)
-        else:
-            model.add_constraint("score_stable_applicant", e.subject,
-                                 coeffs, ">=", e.app.score + 1)
-
-
-def _add_filled_flags(model: LinearModel, inst: Instance, nm: _Names) -> None:
-    """Unfilled colleges carry a zero cutoff; only full ones may reject."""
-    top = inst.max_score + 1
-    for j in range(inst.m):
-        model.add_var(f"f_{j}", 0, 1, role="filled", key=j)
-    for j, c in enumerate(inst.colleges):
-        coeffs = _intake_coeffs(nm, j)
-        coeffs[f"f_{j}"] = -c.upper
-        model.add_constraint("filled_flag", c.id, coeffs, ">=", 0)
-    for j, c in enumerate(inst.colleges):
-        model.add_constraint("unfilled_zero", c.id,
-                             {nm.limit[j]: 1, f"f_{j}": -top}, "<=", 0)
 
 
 def _add_witness_closure(model: LinearModel, inst: Instance, nm: _Names) -> None:
@@ -348,8 +308,7 @@ def build_lower(inst: Instance) -> LinearModel:
 
 @dataclass(frozen=True)
 class _SeatPool:
-    """A seat pool with a cutoff: a college's own (college_feasible row,
-    limit and filled roles) or a shared one (common_feasible, set_*)."""
+    """A seat pool with a cutoff: a college's own or a quota set's."""
     own: bool                 # a college's own pool
     label: str                # constraint subject
     suffix: str               # escape-variable suffix
@@ -360,90 +319,141 @@ class _SeatPool:
     members: tuple[int, ...]  # colleges whose seats the pool counts
 
 
+class _PoolKind(NamedTuple):
+    """Variable roles and row tags of one kind of seat pool."""
+    limit: str
+    filled: str
+    quota: str
+    admitted: str       # an admitted application meets the cutoff
+    rejected: str       # a rejected one fails it or holds a better seat
+    open_rejected: str  # the same, waived at a closed college
+    filled_flag: str
+    unfilled_zero: str
+
+
+_POOL_KINDS = {  # keyed by _SeatPool.own
+    True: _PoolKind("limit", "filled", "college_feasible",
+                    "score_stable_college", "score_stable_applicant",
+                    "open_score_stable_applicant", "filled_flag",
+                    "unfilled_zero"),
+    False: _PoolKind("set_limit", "set_filled", "common_feasible",
+                     "common_score_college", "common_score_applicant",
+                     "common_open_score_applicant", "common_filled_flag",
+                     "common_unfilled_zero"),
+}
+
+
 def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
                       pools: list[_SeatPool], *, open_relaxed: bool = False,
-                      with_flags: bool = True) -> None:
-    """Shared-pool cutoff machinery.
+                      with_flags: bool = True,
+                      signed_pairs: bool = False) -> None:
+    """The cutoff rows of every score-limit model.
 
-    One membership rule: an application, simple or paired, sits in
-    every pool holding one of its colleges, at its score there. A pair's
-    two colleges never share a pool (quota sets refuse pairs and a
-    college's own pool holds that college alone), so no application
-    sits in a pool twice. Each pool's intake is what sits in it, in
-    application order. A rejected application must fail the cutoff of
-    at least one pool it sits in; escape variables let it ignore the
-    others. A paired application has escapes of its own, one per pool,
-    keyed (applicant, pool, rank); every other application of an
-    applicant shares one escape per pool, keyed (applicant, pool). A
-    shared escape would tie a pair's escape budget to that of a simple
-    application at one of its colleges. With open flags in play the
-    colleges' own pools carry no quota row; the lower-quota rows cap
-    them instead.
+    An application, simple or paired, sits in every pool holding one of
+    its colleges, at its score there; a pair's two colleges never share
+    a pool, so none sits in a pool twice. Each pool's intake is what
+    sits in it, in application order. An admitted application meets the
+    cutoff of every pool it sits in; a rejected one holds a better seat
+    or fails the cutoff of one of them.
+
+    An application alone in its pool has no escape. One in several
+    pools has escape variables that let it ignore all but one: at a
+    college in a quota set, one per pool shared by the applicant's
+    other such applications, keyed (applicant, pool). A pair has one
+    per pool keyed (applicant, pool, rank) under a budget row, so its
+    budget is not tied to a simple application's; with signed_pairs it
+    has one escape e instead, +top*e in its first college's row and
+    -top*e with the right-hand side lowered by top in the second's.
+    That is all the two paired modes differ in.
+
+    Rows of a college's own pool carry score-limit tags and the entry's
+    own subject; those of a quota set's pool carry common_* tags and the
+    subject entry@set. With open flags in play the colleges' own pools
+    carry no quota row; the lower-quota rows cap them instead.
     """
     top = inst.max_score + 1
-    for pool in pools:
-        model.add_var(pool.limit, 0, top, role="limit" if pool.own else "set_limit",
-                      key=pool.key)
+    kinds = [_POOL_KINDS[pool.own] for pool in pools]
+    limits = [pool.limit for pool in pools]
+    for pool, kind in zip(pools, kinds):
+        model.add_var(pool.limit, 0, top, role=kind.limit, key=pool.key)
     if with_flags:
-        for pool in pools:
-            model.add_var(pool.filled, 0, 1,
-                          role="filled" if pool.own else "set_filled", key=pool.key)
+        for pool, kind in zip(pools, kinds):
+            model.add_var(pool.filled, 0, 1, role=kind.filled, key=pool.key)
     holding: list[list[int]] = [[] for _ in range(inst.m)]
     for si, pool in enumerate(pools):
         for j in pool.members:
             holding[j].append(si)
     intake: list[list[str]] = [[] for _ in pools]
-    memberships: list[list[tuple[int, int]]] = []
+    cuts = []                    # (entry, pool, score there, escape, its coefficient)
+    budgets = []                 # (entry, its escapes) for one with several
+    used: dict[tuple, str] = {}  # escape key -> variable name
     for e in nm.entries:
-        within = [(si, e.app.score_at(j)) for j in e.app.colleges()
-                  for si in holding[j]]
+        app = e.app
+        if not app.is_paired:
+            held = holding[app.target]
+            if len(held) == 1:  # alone in its pool: no escape
+                intake[held[0]].append(e.x)
+                cuts.append((e, held[0], app.score, None, 0))
+                continue
+            within = [(si, app.score) for si in held]
+        else:
+            within = [(si, score) for j, score in zip(app.target, app.score)
+                      for si in holding[j]]
         for si, _score in within:
             intake[si].append(e.x)
-        memberships.append(within)
-    used: dict[tuple, str] = {}             # escape key -> variable name
-    escapes: list[list[str]] = []           # per entry, one per membership
-    for e, within in zip(nm.entries, memberships):
-        i, rank = e.app.applicant, e.app.rank
-        escapes.append([
-            used.setdefault((i, si, rank), f"esc_{i}_{pools[si].suffix}_{rank}")
-            if e.app.is_paired
-            else used.setdefault((i, si), f"esc_{i}_{pools[si].suffix}")
-            for si, _score in within])
+        i, rank = app.applicant, app.rank
+        if signed_pairs:
+            (sj, score_j), (sk, score_k) = within
+            esc = used.setdefault((i, sj, rank),
+                                  f"esc_{i}_{pools[sj].suffix}_{rank}")
+            cuts += [(e, sj, score_j, esc, top), (e, sk, score_k, esc, -top)]
+            continue
+        names = []
+        for si, score in within:
+            if app.is_paired:
+                esc = used.setdefault((i, si, rank),
+                                      f"esc_{i}_{pools[si].suffix}_{rank}")
+            else:
+                esc = used.setdefault((i, si), f"esc_{i}_{pools[si].suffix}")
+            cuts.append((e, si, score, esc, top))
+            names.append(esc)
+        budgets.append((e, names))
     for (i, si, *rank), name in sorted(used.items()):
         model.add_var(name, 0, 1, role="escape", key=(i, pools[si].label, *rank))
-    for pool, xs in zip(pools, intake):
-        if pool.own and open_relaxed:
-            continue
-        model.add_constraint("college_feasible" if pool.own else "common_feasible",
-                             pool.label, dict.fromkeys(xs, 1), "<=", pool.upper)
-    for e, within in zip(nm.entries, memberships):
-        for si, score in within:
-            pool = pools[si]
-            model.add_constraint(
-                "common_score_college", f"{e.subject}@{pool.label}",
-                {pool.limit: 1, e.x: top}, "<=", top + score)
-    tag = "common_open_score_applicant" if open_relaxed else "common_score_applicant"
-    for e, within, names in zip(nm.entries, memberships, escapes):
-        better = dict.fromkeys(nm.better(e), top)
-        for (si, score), esc in zip(within, names):
-            pool = pools[si]
-            coeffs = {pool.limit: 1, **better, esc: top}
-            rhs = score + 1
-            if open_relaxed:
-                coeffs[f"o_{e.app.target}"] = -top
+    for pool, kind, xs in zip(pools, kinds, intake):
+        if not (pool.own and open_relaxed):
+            model.add_constraint(kind.quota, pool.label, dict.fromkeys(xs, 1),
+                                 "<=", pool.upper)
+    at = ["" if pool.own else "@" + pool.label for pool in pools]
+    admitted = [kind.admitted for kind in kinds]
+    for e, si, score, _esc, _c in cuts:
+        model.add_constraint(admitted[si], e.subject + at[si],
+                             {limits[si]: 1, e.x: top}, "<=", top + score)
+    rejected = [kind.open_rejected if open_relaxed else kind.rejected
+                for kind in kinds]
+    for e, si, score, esc, c in cuts:
+        coeffs = {limits[si]: 1}
+        for name in nm.better(e):
+            coeffs[name] = top
+        rhs = score + 1
+        if esc:
+            coeffs[esc] = c
+            if c < 0:
                 rhs -= top
-            model.add_constraint(tag, f"{e.subject}@{pool.label}",
-                                 coeffs, ">=", rhs)
-    for e, names in zip(nm.entries, escapes):
+        if open_relaxed:
+            coeffs[f"o_{e.app.target}"] = -top
+            rhs -= top
+        model.add_constraint(rejected[si], e.subject + at[si], coeffs, ">=", rhs)
+    for e, names in budgets:
         model.add_constraint("common_escape_budget", e.subject,
                              dict.fromkeys(names, 1), "<=", len(names) - 1)
     if with_flags:
-        for pool, xs in zip(pools, intake):
+        for pool, kind, xs in zip(pools, kinds, intake):
             coeffs = dict.fromkeys(xs, 1)
             coeffs[pool.filled] = -pool.upper
-            model.add_constraint("common_filled_flag", pool.label, coeffs, ">=", 0)
-        for pool in pools:
-            model.add_constraint("common_unfilled_zero", pool.label,
+            model.add_constraint(kind.filled_flag, pool.label, coeffs, ">=", 0)
+        for pool, kind in zip(pools, kinds):
+            model.add_constraint(kind.unfilled_zero, pool.label,
                                  {pool.limit: 1, pool.filled: -top}, "<=", 0)
 
 
@@ -479,50 +489,21 @@ def build_common(inst: Instance) -> LinearModel:
 
 def build_paired(inst: Instance) -> LinearModel:
     """Stable outcomes when applications may target a pair of colleges,
-    taking one seat at each or none at all. Both colleges of an
-    admitted pair must be met at their cutoffs; a rejected pair must
-    fail at least one of its two cutoffs, chosen by an escape variable.
+    taking one seat at each or none at all.
+
+    Every college has one seat pool, and a pair sits in the pools of
+    both its colleges. Both colleges of an admitted pair must be met at
+    their cutoffs; a rejected pair must fail at least one of its two
+    cutoffs, chosen by one signed escape variable. This differs from
+    build_paired_via_common only in how a pair encodes its escapes.
     """
     _require("build_paired", inst, pairs=True)
     model = LinearModel(name="paired")
     nm = _Names(inst)
     _add_assignment(model, nm)
-    _add_limit_vars(model, inst, nm)
-    pairs = [e for e in nm.entries if e.app.is_paired]
-    escapes = [f"esc_{e.app.applicant}_{e.app.target[0]}_{e.app.target[1]}"
-               for e in pairs]
-    for e, esc in zip(pairs, escapes):
-        model.add_var(esc, 0, 1, role="escape",
-                      key=(e.app.applicant, e.app.target))
     _add_applicant_feasible(model, inst, nm)
-    _add_college_feasible(model, inst, nm)
-    _add_limit_link(model, inst, nm,
-                    [e for e in nm.entries if not e.app.is_paired])
-    top = inst.max_score + 1
-    for e in pairs:
-        j, _k = e.app.target
-        model.add_constraint(
-            "pair_score_college_first", e.subject,
-            {nm.limit[j]: 1, e.x: top}, "<=", top + e.app.score_at(j))
-    for e in pairs:
-        _j, k = e.app.target
-        model.add_constraint(
-            "pair_score_college_second", e.subject,
-            {nm.limit[k]: 1, e.x: top}, "<=", top + e.app.score_at(k))
-    for e, esc in zip(pairs, escapes):
-        j, _k = e.app.target
-        better = dict.fromkeys(nm.better(e), top)
-        model.add_constraint(
-            "pair_reject_first", e.subject,
-            {nm.limit[j]: 1, **better, esc: top}, ">=", e.app.score_at(j) + 1)
-    for e, esc in zip(pairs, escapes):
-        _j, k = e.app.target
-        better = dict.fromkeys(nm.better(e), top)
-        model.add_constraint(
-            "pair_reject_second", e.subject,
-            {nm.limit[k]: 1, **better, esc: -top}, ">=",
-            e.app.score_at(k) + 1 - top)
-    _add_filled_flags(model, inst, nm)
+    _emit_common_rows(model, inst, nm, _college_pools(inst, nm),
+                      signed_pairs=True)
     return model
 
 
@@ -532,8 +513,10 @@ def build_paired_via_common(inst: Instance) -> LinearModel:
     A pair behaves like one artificial college sitting inside the pools
     of both real colleges. Each college keeps one pool over everything
     that takes its seats, capped and flagged at its own quota, and its
-    cutoff is the college's score limit. The feasible assignments and
-    score limits project onto the same outcomes as build_paired.
+    cutoff is the college's score limit. A rejected pair has an escape
+    per pool under a budget row; that is the only difference from
+    build_paired, so the feasible assignments and score limits project
+    onto the same outcomes.
     """
     _require("build_paired_via_common", inst, pairs=True)
     model = LinearModel(name="paired:via-common")
@@ -583,17 +566,15 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
         _add_lower_feasible(model, inst, nm)
         if inst.lower_quota_groups:
             _add_group_rows(model, inst, nm)
-    if not lower and not common:
-        _add_college_feasible(model, inst, nm)
-    if common:
-        _emit_common_rows(model, inst, nm, _common_pools(inst, nm),
-                          open_relaxed=lower, with_flags=not ties)
-    elif ties:
-        _add_limit_vars(model, inst, nm)
-        _add_limit_link(model, inst, nm, nm.entries, open_relaxed=lower)
-        if group_stability == "enforce":
+    if common or ties:
+        pools = _common_pools(inst, nm) if common else _college_pools(inst, nm)
+        _emit_common_rows(model, inst, nm, pools, open_relaxed=lower,
+                          with_flags=not ties)
+        if ties and not common and group_stability == "enforce":
             _add_witness_closure(model, inst, nm)
     else:
+        if not lower:
+            _add_college_feasible(model, inst, nm)
         _add_pairwise_stable(model, inst, nm, open_relaxed=lower)
     if lower and group_stability == "enforce" and not inst.lower_quota_groups:
         _add_lower_stable_closed(model, inst, nm)

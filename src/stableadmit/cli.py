@@ -139,7 +139,7 @@ def _load_instance(path: str) -> Instance:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     return parse_instance(text)
 
@@ -364,7 +364,7 @@ def _cmd_check(args, argv: list[str]) -> int:
     try:
         with open(args.solution, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.solution}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{args.solution}: invalid JSON: {exc}") from None

@@ -273,6 +273,49 @@ def test_via_common_escapes_are_per_application_beside_a_pair(seed):
     assert enum_x(model) == enum_x(build_paired(inst)) == stable
 
 
+ESCAPE_MARKETS = {
+    **{name: partial(load, name) for name in ("PAIR0", "PAIR1", "PAIRMIX", "NEST")},
+    # colleges 0, 6 and 9 are in no quota set
+    "nested 0": lambda: generate(GenConfig(seed=0, **GEN_PIN_MARKETS["nested"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPE_MARKETS))
+def test_only_applications_in_several_pools_have_escapes(name):
+    """An application alone in its pool must fail that pool's cutoff
+    and has no escape; a pair has one signed escape in build_paired and
+    one per pool in the reduction; every budget row spans two escapes."""
+    inst = ESCAPE_MARKETS[name]()
+    cid = [c.id for c in inst.colleges]
+    pairs = [app for app in inst.applications if app.is_paired]
+    models = {}
+    for build in (build_paired, build_paired_via_common, build_common):
+        try:
+            models[build] = build(inst)
+        except ModelError:
+            continue
+        budgets = [c for c in models[build].constraints
+                   if c.tag == "common_escape_budget"]
+        assert all(len(c.coeffs) >= 2 for c in budgets), build
+    escapes = {build: [v.key for v in model.vars_by_role("escape")]
+               for build, model in models.items()}
+    if build_paired in models:
+        assert sorted((i, rank) for i, _pool, rank in escapes[build_paired]) \
+            == [(app.applicant, app.rank) for app in pairs]
+    if build_paired_via_common in models:
+        assert sorted(escapes[build_paired_via_common]) == sorted(
+            (app.applicant, cid[j], app.rank)
+            for app in pairs for j in app.target)
+    if build_common in models:
+        in_sets = {j for qs in inst.common_quota_sets for j in qs.members}
+        names = {v.name for v in models[build_common].vars_by_role("escape")}
+        for c in models[build_common].constraints:
+            if c.tag == "score_stable_applicant":
+                college = cid.index(c.subject.split(",")[1])
+                has_escape = any(v in names for v, _c in c.coeffs)
+                assert has_escape == (college in in_sets), c.subject
+
+
 def test_via_common_status_agrees_with_explicit_on_generated_markets():
     """300 seeds of each market with pairs: the reduction is feasible
     exactly where the explicit model is, and its outcome is stable. On
@@ -506,20 +549,39 @@ GEN_PIN_MARKETS = {
 GEN_PIN_SEEDS = range(5)
 
 
-def generated_digests(markets=tuple(GEN_PIN_MARKETS)):
-    """model_digest of every BUILDS label on the generated pin markets,
-    keyed "market seed label"; None where the builder refuses it."""
+def generated_digests(markets=tuple(GEN_PIN_MARKETS), labels=tuple(BUILDS)):
+    """model_digest of the given BUILDS labels on the generated pin
+    markets, keyed "market seed label"; None where the builder refuses it."""
     out = {}
     for market in markets:
         for seed in GEN_PIN_SEEDS:
             inst = generate(GenConfig(seed=seed, **GEN_PIN_MARKETS[market]))
-            for label, build in sorted(BUILDS.items()):
+            for label in sorted(labels):
                 try:
-                    digest = model_digest(build(inst))
+                    digest = model_digest(BUILDS[label](inst))
                 except ModelError:
                     digest = None
                 out[f"{market} {seed} {label}"] = digest
     return out
+
+
+def fixture_pins(labels=tuple(BUILDS)):
+    """The builder_pins.json and search_pins.json entries of the given
+    BUILDS labels: for every pin instance the builder accepts, keyed
+    "name label", its model_pin and its solve's [status, nodes,
+    objective values]."""
+    formulations, searches = {}, {}
+    for label in labels:
+        for name, make in PIN_INSTANCES.items():
+            try:
+                model = BUILDS[label](make())
+            except ModelError:
+                continue
+            key = f"{name} {label}"
+            formulations[key] = model_pin(model)
+            res = solve(model)
+            searches[key] = [res.status, res.nodes, res.objective_values]
+    return formulations, searches
 
 
 GEN_PINS = json.loads((Path(__file__).parent / "generated_builder_pins.json")
@@ -528,15 +590,47 @@ GEN_PINS = json.loads((Path(__file__).parent / "generated_builder_pins.json")
 
 @pytest.mark.parametrize("market", sorted(GEN_PIN_MARKETS))
 def test_builder_formulations_on_generated_markets_are_pinned(market):
-    """Captured once with
-
-      PYTHONPATH=src:tests python -c "import json, test_builders as t; \\
-        print(json.dumps(t.generated_digests(), indent=1, sort_keys=True))" \\
-        > tests/generated_builder_pins.json.new
-      mv tests/generated_builder_pins.json.new tests/generated_builder_pins.json
-
-    (through a second file, since this module reads the pins on import)
-    """
+    """Captured with refresh_pins."""
     want = {key: digest for key, digest in GEN_PINS.items()
             if key.split()[0] == market}
     assert generated_digests([market]) == want
+
+
+def refresh_pins(*labels):
+    """Recapture the entries of the given BUILDS labels (all of them when
+    none is given) in builder_pins.json, search_pins.json and
+    generated_builder_pins.json, keeping every other entry. Run from the
+    repository root as
+
+      PYTHONPATH=src:tests python -c "import test_builders as t; \\
+        t.refresh_pins('common', 'paired')"
+
+    Each file is written to a second file that is then renamed over it,
+    since this module reads the pins on import."""
+    labels = sorted(set(labels or BUILDS) & set(BUILDS))
+    formulations, searches = fixture_pins(labels)
+
+    def keep(pins, label_of):
+        return {k: v for k, v in pins.items() if label_of(k) not in labels}
+
+    def lines(pins):  # one entry per line, keys sorted
+        return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
+                                   for k, v in sorted(pins.items())) + "\n}\n"
+
+    def fixture_label(key):
+        return key.split(" ", 1)[1]
+
+    here = Path(__file__).parent
+    texts = {
+        "builder_pins.json": lines({**keep(PINS, fixture_label), **formulations}),
+        "search_pins.json": lines({**keep(SEARCH_PINS, fixture_label),
+                                   **searches}),
+        "generated_builder_pins.json": json.dumps(
+            {**keep(GEN_PINS, lambda key: key.split(" ", 2)[2]),
+             **generated_digests(labels=labels)},
+            indent=1, sort_keys=True) + "\n",
+    }
+    for name, text in texts.items():
+        new = here / f"{name}.new"
+        new.write_text(text, encoding="utf-8")
+        new.replace(here / name)

@@ -55,6 +55,17 @@ def test_validate_rejects_broken_files(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))
     assert code == 1
     assert "cannot read" in err
+    # a file that is not UTF-8, as an instance and as a solution
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    for argv in (("validate", str(utf16)),
+                 ("solve", str(utf16)),
+                 ("check", "--variant", "classical", str(fixture_path("I1")),
+                  str(utf16))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out is None, argv
+        assert err.startswith(f"error: cannot read {utf16}: "), argv
+        assert "Traceback" not in err, argv
 
 
 def test_generate_is_deterministic(capsys, tmp_path):
