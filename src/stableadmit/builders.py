@@ -306,19 +306,6 @@ def build_lower(inst: Instance) -> LinearModel:
     return model
 
 
-@dataclass(frozen=True)
-class _SeatPool:
-    """A seat pool with a cutoff: a college's own or a quota set's."""
-    own: bool                 # a college's own pool
-    label: str                # constraint subject
-    suffix: str               # escape-variable suffix
-    limit: str                # cutoff variable name
-    filled: str               # filled-flag variable name
-    key: object
-    upper: int
-    members: tuple[int, ...]  # colleges whose seats the pool counts
-
-
 class _PoolKind(NamedTuple):
     """Variable roles and row tags of one kind of seat pool."""
     limit: str
@@ -331,16 +318,27 @@ class _PoolKind(NamedTuple):
     unfilled_zero: str
 
 
-_POOL_KINDS = {  # keyed by _SeatPool.own
-    True: _PoolKind("limit", "filled", "college_feasible",
-                    "score_stable_college", "score_stable_applicant",
-                    "open_score_stable_applicant", "filled_flag",
-                    "unfilled_zero"),
-    False: _PoolKind("set_limit", "set_filled", "common_feasible",
-                     "common_score_college", "common_score_applicant",
-                     "common_open_score_applicant", "common_filled_flag",
-                     "common_unfilled_zero"),
-}
+_COLLEGE_POOL = _PoolKind("limit", "filled", "college_feasible",
+                          "score_stable_college", "score_stable_applicant",
+                          "open_score_stable_applicant", "filled_flag",
+                          "unfilled_zero")
+_SET_POOL = _PoolKind("set_limit", "set_filled", "common_feasible",
+                      "common_score_college", "common_score_applicant",
+                      "common_open_score_applicant", "common_filled_flag",
+                      "common_unfilled_zero")
+
+
+@dataclass(frozen=True)
+class _SeatPool:
+    """A seat pool with a cutoff: a college's own or a quota set's."""
+    kind: _PoolKind           # _COLLEGE_POOL or _SET_POOL
+    label: str                # constraint subject
+    suffix: str               # escape-variable suffix
+    limit: str                # cutoff variable name
+    filled: str               # filled-flag variable name
+    key: object
+    upper: int
+    members: tuple[int, ...]  # colleges whose seats the pool counts
 
 
 def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
@@ -366,73 +364,75 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
     -top*e with the right-hand side lowered by top in the second's.
     That is all the two paired modes differ in.
 
-    Rows of a college's own pool carry score-limit tags and the entry's
-    own subject; those of a quota set's pool carry common_* tags and the
-    subject entry@set. With open flags in play the colleges' own pools
+    Rows of a college's own pool carry score-limit tags, those of a
+    quota set's pool common_* tags. A simple application's row at its
+    college's own pool has the entry's subject; every other row names
+    its pool, as entry@pool, so the two rows of a pair tell its
+    colleges apart. With open flags in play the colleges' own pools
     carry no quota row; the lower-quota rows cap them instead.
     """
     top = inst.max_score + 1
-    kinds = [_POOL_KINDS[pool.own] for pool in pools]
-    limits = [pool.limit for pool in pools]
-    for pool, kind in zip(pools, kinds):
-        model.add_var(pool.limit, 0, top, role=kind.limit, key=pool.key)
+    for pool in pools:
+        model.add_var(pool.limit, 0, top, role=pool.kind.limit, key=pool.key)
     if with_flags:
-        for pool, kind in zip(pools, kinds):
-            model.add_var(pool.filled, 0, 1, role=kind.filled, key=pool.key)
+        for pool in pools:
+            model.add_var(pool.filled, 0, 1, role=pool.kind.filled, key=pool.key)
     holding: list[list[int]] = [[] for _ in range(inst.m)]
     for si, pool in enumerate(pools):
         for j in pool.members:
             holding[j].append(si)
     intake: list[list[str]] = [[] for _ in pools]
-    cuts = []                    # (entry, pool, score there, escape, its coefficient)
-    budgets = []                 # (entry, its escapes) for one with several
+    cuts = []    # (entry, pool, subject, score there, escape, its coefficient)
+    budgets = []  # (entry, its escapes) for one with several
     used: dict[tuple, str] = {}  # escape key -> variable name
     for e in nm.entries:
         app = e.app
         if not app.is_paired:
             held = holding[app.target]
-            if len(held) == 1:  # alone in its pool: no escape
+            if len(held) == 1:  # alone in its college's own pool: no escape
                 intake[held[0]].append(e.x)
-                cuts.append((e, held[0], app.score, None, 0))
+                cuts.append((e, pools[held[0]], e.subject, app.score, None, 0))
                 continue
             within = [(si, app.score) for si in held]
         else:
             within = [(si, score) for j, score in zip(app.target, app.score)
                       for si in holding[j]]
-        for si, _score in within:
+        sits = []  # (pool index, row subject, score there)
+        for si, score in within:
             intake[si].append(e.x)
+            pool = pools[si]
+            own = pool.kind is _COLLEGE_POOL and not app.is_paired
+            subject = e.subject if own else f"{e.subject}@{pool.label}"
+            sits.append((si, subject, score))
         i, rank = app.applicant, app.rank
         if signed_pairs:
-            (sj, score_j), (sk, score_k) = within
+            (sj, subject_j, score_j), (sk, subject_k, score_k) = sits
             esc = used.setdefault((i, sj, rank),
                                   f"esc_{i}_{pools[sj].suffix}_{rank}")
-            cuts += [(e, sj, score_j, esc, top), (e, sk, score_k, esc, -top)]
+            cuts += [(e, pools[sj], subject_j, score_j, esc, top),
+                     (e, pools[sk], subject_k, score_k, esc, -top)]
             continue
         names = []
-        for si, score in within:
+        for si, subject, score in sits:
             if app.is_paired:
                 esc = used.setdefault((i, si, rank),
                                       f"esc_{i}_{pools[si].suffix}_{rank}")
             else:
                 esc = used.setdefault((i, si), f"esc_{i}_{pools[si].suffix}")
-            cuts.append((e, si, score, esc, top))
+            cuts.append((e, pools[si], subject, score, esc, top))
             names.append(esc)
         budgets.append((e, names))
     for (i, si, *rank), name in sorted(used.items()):
         model.add_var(name, 0, 1, role="escape", key=(i, pools[si].label, *rank))
-    for pool, kind, xs in zip(pools, kinds, intake):
-        if not (pool.own and open_relaxed):
-            model.add_constraint(kind.quota, pool.label, dict.fromkeys(xs, 1),
-                                 "<=", pool.upper)
-    at = ["" if pool.own else "@" + pool.label for pool in pools]
-    admitted = [kind.admitted for kind in kinds]
-    for e, si, score, _esc, _c in cuts:
-        model.add_constraint(admitted[si], e.subject + at[si],
-                             {limits[si]: 1, e.x: top}, "<=", top + score)
-    rejected = [kind.open_rejected if open_relaxed else kind.rejected
-                for kind in kinds]
-    for e, si, score, esc, c in cuts:
-        coeffs = {limits[si]: 1}
+    for pool, xs in zip(pools, intake):
+        if not (open_relaxed and pool.kind is _COLLEGE_POOL):
+            model.add_constraint(pool.kind.quota, pool.label,
+                                 dict.fromkeys(xs, 1), "<=", pool.upper)
+    for e, pool, subject, score, _esc, _c in cuts:
+        model.add_constraint(pool.kind.admitted, subject,
+                             {pool.limit: 1, e.x: top}, "<=", top + score)
+    for e, pool, subject, score, esc, c in cuts:
+        coeffs = {pool.limit: 1}
         for name in nm.better(e):
             coeffs[name] = top
         rhs = score + 1
@@ -443,31 +443,33 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
         if open_relaxed:
             coeffs[f"o_{e.app.target}"] = -top
             rhs -= top
-        model.add_constraint(rejected[si], e.subject + at[si], coeffs, ">=", rhs)
+        model.add_constraint(pool.kind.open_rejected if open_relaxed
+                             else pool.kind.rejected, subject, coeffs, ">=", rhs)
     for e, names in budgets:
         model.add_constraint("common_escape_budget", e.subject,
                              dict.fromkeys(names, 1), "<=", len(names) - 1)
     if with_flags:
-        for pool, kind, xs in zip(pools, kinds, intake):
+        for pool, xs in zip(pools, intake):
             coeffs = dict.fromkeys(xs, 1)
             coeffs[pool.filled] = -pool.upper
-            model.add_constraint(kind.filled_flag, pool.label, coeffs, ">=", 0)
-        for pool, kind in zip(pools, kinds):
-            model.add_constraint(kind.unfilled_zero, pool.label,
+            model.add_constraint(pool.kind.filled_flag, pool.label, coeffs, ">=", 0)
+        for pool in pools:
+            model.add_constraint(pool.kind.unfilled_zero, pool.label,
                                  {pool.limit: 1, pool.filled: -top}, "<=", 0)
 
 
 def _college_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
     """Each college's own pool over every application taking its seats."""
     return [
-        _SeatPool(True, c.id, f"c{j}", nm.limit[j], f"f_{j}", j, c.upper, (j,))
+        _SeatPool(_COLLEGE_POOL, c.id, f"c{j}", nm.limit[j], f"f_{j}", j,
+                  c.upper, (j,))
         for j, c in enumerate(inst.colleges)
     ]
 
 
 def _common_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
     return _college_pools(inst, nm) + [
-        _SeatPool(False, qs.id, f"s{si}", f"tset_{si}", f"fset_{si}", qs.id,
+        _SeatPool(_SET_POOL, qs.id, f"s{si}", f"tset_{si}", f"fset_{si}", qs.id,
                   qs.upper, qs.members)
         for si, qs in enumerate(inst.common_quota_sets)
     ]

@@ -443,7 +443,21 @@ def test_builder_formulations_are_pinned(label):
         assert model_pin(build(make())) == PINS[key], key
 
 
-SEARCH_PINS = json.loads((Path(__file__).parent / "search_pins.json")
+@pytest.mark.parametrize("label", sorted(BUILDS))
+def test_no_two_rows_share_a_name(label):
+    """A violated row is reported by its tag and subject, so no two rows
+    of a model may share both; a pair's two cutoff rows name their
+    colleges."""
+    for name, make in PIN_INSTANCES.items():
+        try:
+            model = BUILDS[label](make())
+        except ModelError:
+            continue
+        names = [(c.tag, c.subject) for c in model.constraints]
+        assert len(set(names)) == len(names), name
+
+
+SEARCH_PINS =json.loads((Path(__file__).parent / "search_pins.json")
                          .read_text(encoding="utf-8"))
 
 
@@ -606,8 +620,13 @@ def refresh_pins(*labels):
         t.refresh_pins('common', 'paired')"
 
     Each file is written to a second file that is then renamed over it,
-    since this module reads the pins on import."""
-    labels = sorted(set(labels or BUILDS) & set(BUILDS))
+    since this module reads the pins on import. An unknown label stops
+    it before any file is written."""
+    unknown = sorted(set(labels) - set(BUILDS))
+    if unknown:
+        raise SystemExit(f"refresh_pins: unknown labels {unknown}; "
+                         f"known: {sorted(BUILDS)}")
+    labels = sorted(labels or BUILDS)
     formulations, searches = fixture_pins(labels)
 
     def keep(pins, label_of):
@@ -634,3 +653,13 @@ def refresh_pins(*labels):
         new = here / f"{name}.new"
         new.write_text(text, encoding="utf-8")
         new.replace(here / name)
+
+
+def test_refresh_pins_refuses_an_unknown_label(tmp_path):
+    before = {name: (Path(__file__).parent / name).read_bytes()
+              for name in ("builder_pins.json", "search_pins.json",
+                           "generated_builder_pins.json")}
+    with pytest.raises(SystemExit, match="paired_via-common"):
+        refresh_pins("paired", "paired_via-common")
+    for name, data in before.items():
+        assert (Path(__file__).parent / name).read_bytes() == data
