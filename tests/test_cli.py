@@ -1,10 +1,14 @@
 """Command line surface: reports, exit codes, argument gating."""
 
+import hashlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -288,7 +292,9 @@ def test_solve_preprocess_report(capsys):
     assert doc["verdict"] == "stable"
 
 
-@pytest.mark.parametrize("argv,needle", [
+# Usage errors and a phrase of each message; a fixture name stands for
+# its file.
+USAGE_ERRORS = [
     (("solve", "I2", "--model", "classical", "--mode", "ties-min"),
      "classical has no mode"),
     (("solve", "I2", "--model", "lower", "--mode", "strict"),
@@ -331,7 +337,10 @@ def test_solve_preprocess_report(capsys):
      "paired has no mode"),
     (("solve", "I8", "--model", "lower", "--objective", "min-score-limits"),
      "min-score-limits needs a score-limit model"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,needle", USAGE_ERRORS)
 def test_usage_errors_exit_1(capsys, argv, needle):
     argv = [str(fixture_path(a)) if a in ("I2", "I3", "I4B", "I8") else a
             for a in argv]
@@ -780,3 +789,76 @@ def test_deep_nested_common_enumerate_finishes(capsys, tmp_path):
                        "--model", "common", "--cap", "1")
     assert code == 0
     assert doc["count"] == 1
+
+
+# Report pins: the exit code, stdout and stderr of a fixed argv set, run
+# from the repository root with relative fixture paths so the echoed
+# command is stable. Captured with refresh_cli_pins.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+CLI_PINS_PATH = Path(__file__).parent / "cli_pins.json"
+CLI_PINS = json.loads(CLI_PINS_PATH.read_text(encoding="utf-8"))
+
+# The argv of each row of LABELS: every --model and --mode of the README
+# table, and every combined mix under both group policies.
+MODEL_ARGVS = list(dict.fromkeys(
+    ("--model", model, *(("--mode", mode) if mode else ()),
+     *(("--group-policy", policy) if policy else ()))
+    for _, model, mode, policy, _ in LABELS))
+
+
+def cli_pin_argvs() -> list[tuple[str, ...]]:
+    fixtures = sorted(p.relative_to(REPO_ROOT).as_posix()
+                      for p in FIXTURE_DIR.glob("*.json"))
+    relative = str(FIXTURE_DIR.relative_to(REPO_ROOT))
+    argvs = []
+    for path in fixtures:
+        argvs += [("validate", path), ("compare", path)]
+        for model in MODEL_ARGVS:
+            argvs += [("solve", path, *model),
+                      ("enumerate", path, *model, "--cap", "100")]
+    for argv, _ in USAGE_ERRORS:
+        argvs.append(tuple(
+            f"{relative}/{a}.json" if a in ("I2", "I3", "I4B", "I8")
+            else a.replace(str(FIXTURE_DIR), relative) for a in argv))
+    return argvs
+
+
+def cli_pin_digest(argv) -> str:
+    """sha256 of the exit code, stdout with timing.seconds set to 0, and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    text = re.sub(r'("seconds": )[^,}\n]+', r"\g<1>0", out.getvalue())
+    blob = json.dumps([code, text, err.getvalue()])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def cli_pin_digests() -> dict[str, str]:
+    cwd = os.getcwd()
+    os.chdir(REPO_ROOT)
+    try:
+        return {" ".join(argv): cli_pin_digest(argv)
+                for argv in cli_pin_argvs()}
+    finally:
+        os.chdir(cwd)
+
+
+def test_cli_reports_match_their_pins():
+    got = cli_pin_digests()
+    assert sorted(got) == sorted(CLI_PINS)
+    assert [k for k in got if got[k] != CLI_PINS[k]] == []
+
+
+def refresh_cli_pins():
+    """Recapture tests/cli_pins.json. Run from the repository root as
+
+      PYTHONPATH=src:tests python -c "import test_cli as t; \\
+        t.refresh_cli_pins()"
+
+    The file is written to cli_pins.json.new and renamed over it."""
+    text = "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
+                              for k, v in sorted(cli_pin_digests().items()))
+    new = CLI_PINS_PATH.with_name(CLI_PINS_PATH.name + ".new")
+    new.write_text(text + "\n}\n", encoding="utf-8")
+    new.replace(CLI_PINS_PATH)
