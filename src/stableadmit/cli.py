@@ -8,8 +8,15 @@ feasible outcome (check always exits 0 once it produces a verdict),
 outcome was found, 2 for proven infeasibility, and 3
 when the solver and the stability oracle disagree about a result.
 
-Each builder names its model with the variant label that solve and
-enumerate print; _build picks the builder and the audit plan.
+`main` builds its argument parser on first use and reuses it for every
+later call in the process. It looks the subcommand up in one table of
+_cmd_* functions, each taking (args, argv). _read reads every file;
+_head opens every report but validate's, which puts its status between
+command and instance_digest. Each builder names its model with the
+variant label that solve and enumerate print; _build picks the builder
+and the audit plan. Library calls (parse_instance, the builders, solve,
+check, ...) are looked up on this module at call time, so a wrapper set
+here sees each call.
 
 Every successful solve is re-audited through the stability oracle; the
 verdict printed in a report always comes from the oracle, never from
@@ -19,9 +26,6 @@ score-limit solution file without a matching section to the oracle as
 it is; the oracle reads the matching off the limits. Report sections and
 enumerate's projection follow solution.SECTIONS; a limits-only outcome
 has an empty matching in solve's report and none in enumerate's list.
-
-`main` builds its argument parser on first use and reuses it for every
-later call in the process.
 """
 
 from __future__ import annotations
@@ -135,26 +139,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_instance(path: str) -> Instance:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    return parse_instance(text)
-
-
-def _combined_policy(mode: str | None, group_policy: str | None
-                     ) -> tuple[dict[str, bool], str]:
-    flags = {f: False for f in COMBINED_FEATURES}
-    if mode:
-        for token in mode.split(","):
-            token = token.strip()
-            if token not in COMBINED_FEATURES:
-                raise UsageError(f"unknown combined feature {token!r}")
-            flags[token] = True
-    policy = (group_policy or "enforce").replace("-", "_")
-    return flags, policy
 
 
 def _build(inst: Instance, model_name: str, mode: str | None,
@@ -174,20 +164,23 @@ def _build(inst: Instance, model_name: str, mode: str | None,
             raise UsageError(f"scorelimits has no mode {mode!r}")
         return (build_scorelimits(inst, mode=mode),
                 "classical" if mode == "strict" else "scorelimits_H")
-    if model_name == "lower":
+    if model_name in ("lower", "common"):
         if mode:
-            raise UsageError("model lower takes no --mode")
-        return build_lower(inst), "lower"
-    if model_name == "common":
-        if mode:
-            raise UsageError("model common takes no --mode")
-        return build_common(inst), "common"
+            raise UsageError(f"model {model_name} takes no --mode")
+        build = build_lower if model_name == "lower" else build_common
+        return build(inst), model_name
     if model_name == "paired":
         if (mode or "explicit") not in ("explicit", "via-common"):
             raise UsageError(f"paired has no mode {mode!r}")
         build = build_paired_via_common if mode == "via-common" else build_paired
         return build(inst), "paired"
-    flags, policy = _combined_policy(mode, group_policy)
+    flags = {f: False for f in COMBINED_FEATURES}
+    for token in mode.split(",") if mode else ():
+        token = token.strip()
+        if token not in COMBINED_FEATURES:
+            raise UsageError(f"unknown combined feature {token!r}")
+        flags[token] = True
+    policy = (group_policy or "enforce").replace("-", "_")
     model = build_combined(inst, **flags, group_stability=policy)
     active = [f for f in COMBINED_FEATURES if flags[f]]
     if not active:
@@ -227,28 +220,14 @@ def _outcome(inst: Instance, sol: Solution | None,
     return {key: doc.get(key, {}) if sol else None for key in sections}
 
 
-def _solve_report(argv: list[str], inst: Instance, label: str,
-                  status: str, sol: Solution | None,
-                  objective_values: list[int], verdict: str | None,
-                  violations: list, preprocess: dict | None,
-                  elapsed: float, nodes: int) -> dict:
-    return {
-        "command": "stableadmit " + " ".join(argv),
-        "instance_digest": instance_digest(inst),
-        "variant": label,
-        "status": status,
-        **_outcome(inst, sol, DOCUMENT_KEYS),
-        "objective_values": objective_values,
-        "verdict": verdict,
-        "violations": [v.to_report() for v in violations],
-        "preprocess": preprocess,
-        "timing": {"seconds": round(elapsed, 6)},
-        "solver": {"status": status, "nodes": nodes},
-    }
+def _head(argv: list[str], inst: Instance) -> dict:
+    """The keys every instance report opens with but validate's."""
+    return {"command": "stableadmit " + " ".join(argv),
+            "instance_digest": instance_digest(inst)}
 
 
 def _cmd_validate(args, argv: list[str]) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     _emit({
         "command": "stableadmit " + " ".join(argv),
         "status": "valid",
@@ -267,7 +246,7 @@ def _cmd_validate(args, argv: list[str]) -> int:
     return 0
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, _argv: list[str]) -> int:
     cfg = GenConfig(n=args.n, m=args.m, seed=args.seed,
                     list_range=(args.list_min, args.list_max),
                     max_score=args.max_score, tie_density=args.tie_density,
@@ -314,7 +293,7 @@ def _solve_audited(inst: Instance, model: LinearModel, plan: str, args
 
 
 def _cmd_solve(args, argv: list[str]) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     model, plan = _build(inst, args.model, args.mode, args.group_policy)
     if args.objective:
         _apply_objective(inst, model, args.model, args.objective)
@@ -329,14 +308,23 @@ def _cmd_solve(args, argv: list[str]) -> int:
         apply_fixings(model, fixing)
         preprocess_report = fixing.to_report(inst)
     res, sol, verdict, violations, code = _solve_audited(inst, model, plan, args)
-    _emit(_solve_report(argv, inst, model.name, res.status, sol,
-                        res.objective_values, verdict, violations,
-                        preprocess_report, res.elapsed, res.nodes))
+    _emit({
+        **_head(argv, inst),
+        "variant": model.name,
+        "status": res.status,
+        **_outcome(inst, sol, DOCUMENT_KEYS),
+        "objective_values": res.objective_values,
+        "verdict": verdict,
+        "violations": [v.to_report() for v in violations],
+        "preprocess": preprocess_report,
+        "timing": {"seconds": round(res.elapsed, 6)},
+        "solver": {"status": res.status, "nodes": res.nodes},
+    })
     return code
 
 
 def _cmd_enumerate(args, argv: list[str]) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     model, _plan = _build(inst, args.model, args.mode, args.group_policy)
     projection = [v.name for v in model.variables.values()
                   if v.role in OUTCOME_ROLES]
@@ -345,8 +333,7 @@ def _cmd_enumerate(args, argv: list[str]) -> int:
                              node_cap=args.node_cap, time_cap=args.time_cap)
     elapsed = time.monotonic() - started
     _emit({
-        "command": "stableadmit " + " ".join(argv),
-        "instance_digest": instance_digest(inst),
+        **_head(argv, inst),
         "variant": model.name,
         "count": len(res.projections),
         "truncated": res.truncated,
@@ -359,19 +346,15 @@ def _cmd_enumerate(args, argv: list[str]) -> int:
 
 
 def _cmd_check(args, argv: list[str]) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     variant = CHECK_VARIANTS[args.variant]
     try:
-        with open(args.solution, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {args.solution}: {exc}") from None
+        doc = json.loads(_read(args.solution))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{args.solution}: invalid JSON: {exc}") from None
     report = check(inst, solution_from_document(inst, doc), variant)
     _emit({
-        "command": "stableadmit " + " ".join(argv),
-        "instance_digest": instance_digest(inst),
+        **_head(argv, inst),
         "variant": variant,
         **report.to_report(),
     })
@@ -379,7 +362,7 @@ def _cmd_check(args, argv: list[str]) -> int:
 
 
 def _cmd_compare(args, argv: list[str]) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     matching, closed, events = lower_quota_heuristic(inst)
     heur_sol = matching.to_solution(
         inst, open_colleges={j: j not in closed for j in range(inst.m)})
@@ -390,8 +373,7 @@ def _cmd_compare(args, argv: list[str]) -> int:
     ip = {"status": res.status, **_outcome(inst, sol, ("matching", "open")),
           "verdict": verdict}
     _emit({
-        "command": "stableadmit " + " ".join(argv),
-        "instance_digest": instance_digest(inst),
+        **_head(argv, inst),
         "heuristic": {
             "matching": heur_sol.matching_by_ids(inst),
             "closed": sorted(inst.colleges[j].id for j in closed),
@@ -403,6 +385,11 @@ def _cmd_compare(args, argv: list[str]) -> int:
         "solver": {"status": res.status, "nodes": res.nodes},
     })
     return exit_code
+
+
+_COMMANDS = {"validate": _cmd_validate, "generate": _cmd_generate,
+             "solve": _cmd_solve, "enumerate": _cmd_enumerate,
+             "check": _cmd_check, "compare": _cmd_compare}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -417,17 +404,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError(f"{name} must not be negative")
             if value != value:  # only NaN differs from itself
                 raise UsageError(f"{name} must be a number")
-        if args.command == "validate":
-            return _cmd_validate(args, argv)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "solve":
-            return _cmd_solve(args, argv)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, argv)
-        if args.command == "check":
-            return _cmd_check(args, argv)
-        return _cmd_compare(args, argv)
+        return _COMMANDS[args.command](args, argv)
     except (UsageError, InstanceError, ConfigError, ModelError,
             AlgorithmError, ShapeError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
