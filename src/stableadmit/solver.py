@@ -363,9 +363,9 @@ def enumerate_feasible(model: LinearModel, projection: Sequence[str],
     exists, so witness multiplicity never inflates the listing. Objectives
     are ignored. Results are sorted by the projection values read in sorted
     variable-name order; truncated marks a listing cut short by any cap.
+    An empty projection asks whether the model is feasible: it lists [{}]
+    for a feasible model and [] for an infeasible one.
     """
-    if not projection:
-        raise ModelError("projection must name at least one variable")
     if len(set(projection)) != len(projection):
         raise ModelError("projection names a variable twice")
     for name in projection:

@@ -16,10 +16,10 @@ import pytest
 
 from conftest import FIXTURE_DIR, fixture_path, fixture_text, grouped_i4b
 from stableadmit import (GenConfig, Solution, build_lower,
-                         build_paired_via_common, check, extract_solution,
-                         generate, gs_scorelimits, parse_instance,
-                         serialize_instance, serialize_solution,
-                         solution_from_document, solve)
+                         build_paired_via_common, check, enumerate_stable,
+                         extract_solution, generate, gs_scorelimits,
+                         parse_instance, serialize_instance,
+                         serialize_solution, solution_from_document, solve)
 from stableadmit.cli import _build, main
 
 SOLVE_KEYS = ["command", "instance_digest", "variant", "status", "matching",
@@ -371,6 +371,25 @@ def test_enumerate_cap_truncates(capsys):
                        "--cap", "2")
     assert code == 0
     assert doc["count"] == 2 and doc["truncated"] is True
+
+
+@pytest.mark.parametrize("n,m", [(0, 2), (3, 0)])
+@pytest.mark.parametrize("model", ["classical", "scorelimits", "lower",
+                                   "common", "paired"])
+def test_enumerate_a_market_without_applications(capsys, tmp_path, n, m,
+                                                 model):
+    """A model with no outcome variable lists its one outcome, as the
+    oracle does, and solve finds it feasible."""
+    path = str(tmp_path / "empty.json")
+    assert run(capsys, "generate", "--n", str(n), "--m", str(m), "--seed",
+               "1", "--out", path)[0] == 0
+    inst = parse_instance(Path(path).read_text(encoding="utf-8"))
+    plan = _build(inst, model, None, None)[1]
+    assert len(enumerate_stable(inst, plan).solutions) == 1
+    code, doc, err = run(capsys, "enumerate", path, "--model", model)
+    assert (code, err, doc["count"], doc["truncated"]) == (0, "", 1, False)
+    code, doc, _ = run(capsys, "solve", path, "--model", model)
+    assert (code, doc["status"], doc["verdict"]) == (0, "feasible", "stable")
 
 
 def test_check_flags_a_blocking_pair(capsys, tmp_path):
