@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 import stableadmit.algorithms
-from conftest import load, matchings_of
+from conftest import grouped_i4b, load, matchings_of
 from stableadmit import (AlgorithmError, GenConfig, ScoreLimits, Solution,
                          build_scorelimits, check, da, enumerate_feasible,
                          enumerate_stable, from_document, generate,
@@ -311,6 +311,8 @@ def test_heuristic_preconditions():
         lower_quota_heuristic(load("I3"))
     with pytest.raises(AlgorithmError, match="paired"):
         lower_quota_heuristic(load("PAIR0"))
+    with pytest.raises(AlgorithmError, match="lower-quota groups"):
+        lower_quota_heuristic(grouped_i4b())
 
 
 def test_applicant_da_weakly_dominates_college_da():

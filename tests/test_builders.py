@@ -374,6 +374,18 @@ def test_combined_drop_policy_uses_lexicographic_objectives():
     assert res.status == "optimal" and res.objective_values == [2, 0]
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda inst: build_scorelimits(inst, mode="frob"), "unknown mode"),
+    (lambda inst: build_combined(inst, group_stability="frob"),
+     "unknown policy"),
+    (lambda inst: add_named_objective(inst, build_scorelimits(inst), "frob"),
+     "unknown objective"),
+])
+def test_builders_refuse_unknown_names(make, match):
+    with pytest.raises(ModelError, match=match):
+        make(load("I2"))
+
+
 def test_combined_refuses_incoherent_policy():
     with pytest.raises(ModelError, match="incoherent"):
         build_combined(load("NEST"), lower=True, common=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_DIR, fixture_path, fixture_text, grouped_i4b
-from stableadmit import (GenConfig, Solution, build_lower,
+from stableadmit import (GenConfig, Solution, SolverError, build_lower,
                          build_paired_via_common, check, enumerate_stable,
                          extract_solution, generate, gs_scorelimits,
                          parse_instance, serialize_instance,
@@ -618,6 +618,25 @@ def test_compare_reports_empty_stable_set(capsys):
     assert code == 2
     assert doc["ip"]["status"] == "infeasible"
     assert doc["ip"]["matching"] is None
+
+
+def test_compare_refuses_a_grouped_market(capsys, tmp_path):
+    path = tmp_path / "I4B+group.json"
+    path.write_text(serialize_instance(grouped_i4b()), encoding="utf-8")
+    code, doc, err = run(capsys, "compare", str(path))
+    assert (code, doc) == (1, None)
+    assert err == ("error: lower_quota_heuristic: lower-quota groups "
+                   "present\n")
+
+
+def test_solver_inconsistency_exits_3(capsys, monkeypatch):
+    def inconsistent(model, **caps):
+        raise SolverError("leaf breaks row r1")
+
+    monkeypatch.setattr("stableadmit.cli.solve", inconsistent)
+    code, doc, err = run(capsys, "solve", str(fixture_path("I2")))
+    assert (code, doc) == (3, None)
+    assert err == "error: internal solver inconsistency: leaf breaks row r1\n"
 
 
 @pytest.mark.parametrize("launcher", [

@@ -65,12 +65,33 @@ def test_schema_violations(mutate, match):
     (lambda d: d["colleges"][0].update(lower=3), "lower quota"),
     (lambda d: d["applicants"][0]["list"][0].update(score=9), "outside"),
     (lambda d: d["applicants"][0]["list"][0].update(rank=0), "ranks start at 1"),
+    (lambda d: d["applicants"][0]["list"].append(
+        {"rank": 2, "college": "c1", "score": 5}), "duplicate application to c1"),
 ])
 def test_invariant_violations(mutate, match):
     doc = json.loads(fixture_text("I4"))
     mutate(doc)
     with pytest.raises(InvariantError, match=match):
         from_document(doc)
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda i: replace(i, colleges=i.colleges + i.colleges[:1]),
+     "college ids must be distinct"),
+    (lambda i: replace(i, applications=(Application(0, 1, 5, 1),)),
+     "unknown college index 5"),
+    (lambda i: replace(i, applications=(Application(7, 1, 0, 1),)),
+     "unknown applicant index 7"),
+    (lambda i: replace(i, common_quota_sets=(QuotaSet("p1", (), 1),)),
+     "p1: members must be non-empty"),
+    (lambda i: replace(i, common_quota_sets=(QuotaSet("p1", (0, 9), 1),)),
+     "p1: unknown college index 9"),
+])
+def test_invariants_of_a_constructed_instance(change, match):
+    """Rules that a document cannot break, since it names colleges,
+    applicants and members by id."""
+    with pytest.raises(InvariantError, match=match):
+        change(load("I2")).validate()
 
 
 def test_paired_application_needs_distinct_colleges():

@@ -228,6 +228,10 @@ def test_variant_shape_mismatches():
         check(load("PAIR0"), Solution(matching={0: None}), "classical")
     with pytest.raises(ShapeError, match="outside their list"):
         check(load("I2"), Solution(matching={0: 1}), "classical")
+    with pytest.raises(ShapeError, match="paired assignment"):
+        check(load("I2"), Solution(matching={0: (0, 1)}), "classical")
+    with pytest.raises(ShapeError, match="unknown variant"):
+        enumerate_stable(load("I1"), "grand")
 
 
 def test_enumeration_guards():
@@ -239,6 +243,13 @@ def test_enumeration_guards():
                               max_score=40))
     with pytest.raises(SizeGuardError, match="guard"):
         enumerate_stable(wide, "scorelimits_H")
+    flags = Instance(max_score=1, applicants=(),
+                     colleges=tuple(College(f"c{j}", 1) for j in range(13)),
+                     applications=(),
+                     lower_quota_groups=(LowerGroup("g1", (0,), 1),))
+    flags.validate()
+    with pytest.raises(SizeGuardError, match="open-flag space"):
+        enumerate_stable(flags, "lower")
 
 
 def test_enumeration_cap_truncates():
