@@ -91,9 +91,9 @@ def test_fuzz_validation_over_many_seeds():
     (dict(n=1, m=1, seed=0, topology="mesh"), "topology"),
     (dict(n=1, m=1, seed=0, topology="nested"), "at least 2"),
     (dict(n=1, m=1, seed=0, pair_prob=0.5), "at least 2"),
+    (dict(n=8, m=1, seed=0, max_score=5), "distinct values"),
     (dict(n=1, m=2, seed=0, pair_prob=1.5), "pair_prob must lie"),
     (dict(n=1, m=2, seed=0, topology="nested", set_count=0), "set_count"),
-    (dict(n=8, m=1, seed=0, max_score=5), "distinct values"),
 ])
 def test_config_errors(kwargs, match):
     with pytest.raises(ConfigError, match=match):
