@@ -126,12 +126,12 @@ def build_classical_with_rank_objective(inst):
 
 
 def test_enumerate_projection_validation():
+    model = binary_infeasible()
     # an empty projection asks only whether the model is feasible
-    assert enumerate_feasible(binary_infeasible(), []).projections == []
+    assert enumerate_feasible(model, []).projections == []
     feasible = LinearModel()
     feasible.add_var("x", 0, 1)
     assert enumerate_feasible(feasible, []).projections == [{}]
-    model = binary_infeasible()
     with pytest.raises(ModelError, match="twice"):
         enumerate_feasible(model, ["x", "x"])
     with pytest.raises(ModelError, match="unknown projection"):
