@@ -3,10 +3,10 @@
 import hashlib
 import json
 from functools import partial
-from pathlib import Path
 
 import pytest
 
+import pins
 from conftest import (BUILDS, FIXTURE_DIR, classical_with, grouped_i4b, load,
                       matchings_of, t_projection, x_projection)
 from stableadmit import (GenConfig, ModelError, ShapeError, SizeGuardError,
@@ -427,8 +427,7 @@ PIN_INSTANCES = {
     "I4B+group": grouped_i4b,
 }
 
-PINS = json.loads((Path(__file__).parent / "builder_pins.json")
-                  .read_text(encoding="utf-8"))
+PINS = pins.load("builder_pins.json")
 
 
 def model_digest(model):
@@ -469,8 +468,7 @@ def test_no_two_rows_share_a_name(label):
         assert len(set(names)) == len(names), name
 
 
-SEARCH_PINS =json.loads((Path(__file__).parent / "search_pins.json")
-                         .read_text(encoding="utf-8"))
+SEARCH_PINS = pins.load("search_pins.json")
 
 
 @pytest.mark.parametrize("label", sorted(BUILDS))
@@ -575,14 +573,15 @@ GEN_PIN_MARKETS = {
 GEN_PIN_SEEDS = range(5)
 
 
-def generated_digests(markets=tuple(GEN_PIN_MARKETS), labels=tuple(BUILDS)):
-    """model_digest of the given BUILDS labels on the generated pin
-    markets, keyed "market seed label"; None where the builder refuses it."""
+def generated_digests(markets=tuple(GEN_PIN_MARKETS)):
+    """generated_builder_pins.json: model_digest of every BUILDS label on
+    the given generated pin markets, keyed "market seed label"; None where
+    the builder refuses it."""
     out = {}
     for market in markets:
         for seed in GEN_PIN_SEEDS:
             inst = generate(GenConfig(seed=seed, **GEN_PIN_MARKETS[market]))
-            for label in sorted(labels):
+            for label in sorted(BUILDS):
                 try:
                     digest = model_digest(BUILDS[label](inst))
                 except ModelError:
@@ -591,87 +590,38 @@ def generated_digests(markets=tuple(GEN_PIN_MARKETS), labels=tuple(BUILDS)):
     return out
 
 
-def fixture_pins(labels=tuple(BUILDS)):
-    """The builder_pins.json and search_pins.json entries of the given
-    BUILDS labels: for every pin instance the builder accepts, keyed
-    "name label", its model_pin and its solve's [status, nodes,
-    objective values]."""
-    formulations, searches = {}, {}
-    for label in labels:
+def fixture_models():
+    """(key, model) for every pin instance each BUILDS label accepts,
+    keyed "name label"."""
+    for label in BUILDS:
         for name, make in PIN_INSTANCES.items():
             try:
                 model = BUILDS[label](make())
             except ModelError:
                 continue
-            key = f"{name} {label}"
-            formulations[key] = model_pin(model)
-            res = solve(model)
-            searches[key] = [res.status, res.nodes, res.objective_values]
-    return formulations, searches
+            yield f"{name} {label}", model
 
 
-GEN_PINS = json.loads((Path(__file__).parent / "generated_builder_pins.json")
-                      .read_text(encoding="utf-8"))
+def formulation_pins():
+    """builder_pins.json: the model_pin of every fixture model."""
+    return {key: model_pin(model) for key, model in fixture_models()}
+
+
+def search_pins():
+    """search_pins.json: [status, nodes, objective values] of solve on
+    every fixture model."""
+    out = {}
+    for key, model in fixture_models():
+        res = solve(model)
+        out[key] = [res.status, res.nodes, res.objective_values]
+    return out
+
+
+GEN_PINS = pins.load("generated_builder_pins.json")
 
 
 @pytest.mark.parametrize("market", sorted(GEN_PIN_MARKETS))
 def test_builder_formulations_on_generated_markets_are_pinned(market):
-    """Captured with refresh_pins."""
     want = {key: digest for key, digest in GEN_PINS.items()
             if key.split()[0] == market}
     assert generated_digests([market]) == want
-
-
-def refresh_pins(*labels):
-    """Recapture the entries of the given BUILDS labels (all of them when
-    none is given) in builder_pins.json, search_pins.json and
-    generated_builder_pins.json, keeping every other entry. Run from the
-    repository root as
-
-      PYTHONPATH=src:tests python -c "import test_builders as t; \\
-        t.refresh_pins('common', 'paired')"
-
-    Each file is written to a second file that is then renamed over it,
-    since this module reads the pins on import. An unknown label stops
-    it before any file is written."""
-    unknown = sorted(set(labels) - set(BUILDS))
-    if unknown:
-        raise SystemExit(f"refresh_pins: unknown labels {unknown}; "
-                         f"known: {sorted(BUILDS)}")
-    labels = sorted(labels or BUILDS)
-    formulations, searches = fixture_pins(labels)
-
-    def keep(pins, label_of):
-        return {k: v for k, v in pins.items() if label_of(k) not in labels}
-
-    def lines(pins):  # one entry per line, keys sorted
-        return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
-                                   for k, v in sorted(pins.items())) + "\n}\n"
-
-    def fixture_label(key):
-        return key.split(" ", 1)[1]
-
-    here = Path(__file__).parent
-    texts = {
-        "builder_pins.json": lines({**keep(PINS, fixture_label), **formulations}),
-        "search_pins.json": lines({**keep(SEARCH_PINS, fixture_label),
-                                   **searches}),
-        "generated_builder_pins.json": json.dumps(
-            {**keep(GEN_PINS, lambda key: key.split(" ", 2)[2]),
-             **generated_digests(labels=labels)},
-            indent=1, sort_keys=True) + "\n",
-    }
-    for name, text in texts.items():
-        new = here / f"{name}.new"
-        new.write_text(text, encoding="utf-8")
-        new.replace(here / name)
-
-
-def test_refresh_pins_refuses_an_unknown_label(tmp_path):
-    before = {name: (Path(__file__).parent / name).read_bytes()
-              for name in ("builder_pins.json", "search_pins.json",
-                           "generated_builder_pins.json")}
-    with pytest.raises(SystemExit, match="paired_via-common"):
-        refresh_pins("paired", "paired_via-common")
-    for name, data in before.items():
-        assert (Path(__file__).parent / name).read_bytes() == data

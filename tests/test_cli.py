@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import pins
 from conftest import FIXTURE_DIR, fixture_path, fixture_text, grouped_i4b
 from stableadmit import (GenConfig, Solution, SolverError, build_lower,
                          build_paired_via_common, check, enumerate_stable,
@@ -831,10 +832,9 @@ def test_deep_nested_common_enumerate_finishes(capsys, tmp_path):
 
 # Report pins: the exit code, stdout and stderr of a fixed argv set, run
 # from the repository root with relative fixture paths so the echoed
-# command is stable. Captured with refresh_cli_pins.
+# command is stable. Captured with tests/pins.py.
 REPO_ROOT = Path(__file__).resolve().parents[1]
-CLI_PINS_PATH = Path(__file__).parent / "cli_pins.json"
-CLI_PINS = json.loads(CLI_PINS_PATH.read_text(encoding="utf-8"))
+CLI_PINS = pins.load("cli_pins.json")
 
 # The argv of each row of LABELS: every --model and --mode of the README
 # table, and every combined mix under both group policies.
@@ -886,17 +886,3 @@ def test_cli_reports_match_their_pins():
     got = cli_pin_digests()
     assert sorted(got) == sorted(CLI_PINS)
     assert [k for k in got if got[k] != CLI_PINS[k]] == []
-
-
-def refresh_cli_pins():
-    """Recapture tests/cli_pins.json. Run from the repository root as
-
-      PYTHONPATH=src:tests python -c "import test_cli as t; \\
-        t.refresh_cli_pins()"
-
-    The file is written to cli_pins.json.new and renamed over it."""
-    text = "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
-                              for k, v in sorted(cli_pin_digests().items()))
-    new = CLI_PINS_PATH.with_name(CLI_PINS_PATH.name + ".new")
-    new.write_text(text + "\n}\n", encoding="utf-8")
-    new.replace(CLI_PINS_PATH)

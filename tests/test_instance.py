@@ -8,11 +8,11 @@ import json
 import random
 import time
 from dataclasses import FrozenInstanceError, replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pins
 from conftest import fixture_text, load
 from stableadmit import (Application, College, GenConfig, Instance, InstanceError,
                          InvariantError, LowerGroup, QuotaSet, SchemaError,
@@ -294,22 +294,18 @@ def test_schema_base_document_parses():
     assert inst.common_quota_sets and inst.lower_quota_groups
 
 
+SCHEMA_PINS = pins.load("schema_pins.json")
+
+
 @pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
 def test_schema_messages_are_pinned(case):
     """The exact path and message of each error, captured once, before the
-    parser formatted paths only for failing checks, with
-
-      PYTHONPATH=src:tests python -c "import json, test_instance as t; \\
-        print(json.dumps(t.schema_messages(), indent=1, sort_keys=True))" \\
-        > tests/schema_pins.json
-    """
-    pins = json.loads((Path(__file__).parent / "schema_pins.json")
-                      .read_text(encoding="utf-8"))
+    parser formatted paths only for failing checks."""
     doc = copy.deepcopy(SCHEMA_BASE)
     SCHEMA_CASES[case](doc)
     with pytest.raises(SchemaError) as info:
         from_document(doc)
-    assert [info.value.path, str(info.value)] == pins[case]
+    assert [info.value.path, str(info.value)] == SCHEMA_PINS[case]
 
 
 def test_application_value_semantics():
@@ -450,10 +446,11 @@ DIGEST_PIN_SEEDS = (1, 7919)
 
 
 def digest_pins() -> dict[str, str]:
-    out = {name: instance_digest(load(name)) for name in DIGEST_FIXTURES}
+    out = {f"digest {name}": instance_digest(load(name))
+           for name in DIGEST_FIXTURES}
     for market, cfg in DIGEST_PIN_MARKETS.items():
         for seed in DIGEST_PIN_SEEDS:
-            out[f"{market} {seed}"] = instance_digest(
+            out[f"digest {market} {seed}"] = instance_digest(
                 generate(GenConfig(seed=seed, **cfg)))
     return out
 
@@ -529,42 +526,35 @@ def invariant_messages() -> dict[str, str]:
         try:
             from_document(doc)
         except InvariantError as exc:
-            out[case] = str(exc)
+            out[f"invariant {case}"] = str(exc)
     return out
 
 
-def instance_pins() -> dict:
-    return {"digests": digest_pins(), "invariants": invariant_messages()}
+def instance_pins() -> dict[str, str]:
+    """instance_pins.json: the digest and invariant pins, one flat table."""
+    return {**digest_pins(), **invariant_messages()}
 
 
-INSTANCE_PINS = json.loads((Path(__file__).parent / "instance_pins.json")
-                           .read_text(encoding="utf-8"))
+INSTANCE_PINS = pins.load("instance_pins.json")
 
 
 def test_digests_are_pinned():
     """instance_digest on fixtures and generated markets, captured before
-    the digest payload was written directly, with
-
-      PYTHONPATH=src:tests python -c "import json, test_instance as t; \\
-        print(json.dumps(t.instance_pins(), indent=1, sort_keys=True))" \\
-        > tests/instance_pins.json.new
-      mv tests/instance_pins.json.new tests/instance_pins.json
-
-    (through a second file, since this module reads the pins on import)
-    """
-    assert digest_pins() == INSTANCE_PINS["digests"]
+    the digest payload was written directly."""
+    assert digest_pins() == {key: value for key, value in INSTANCE_PINS.items()
+                             if key.startswith("digest ")}
 
 
 @pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
 def test_first_invariant_error_is_pinned(case):
     """The first InvariantError of a document breaking several rules,
-    captured with the digests (see test_digests_are_pinned) before
-    validate checked everything in one pass."""
+    captured with the digests before validate checked everything in one
+    pass."""
     doc = copy.deepcopy(SCHEMA_BASE)
     INVARIANT_CASES[case](doc)
     with pytest.raises(InvariantError) as info:
         from_document(doc)
-    assert str(info.value) == INSTANCE_PINS["invariants"][case]
+    assert str(info.value) == INSTANCE_PINS[f"invariant {case}"]
 
 
 _ids = st.text(st.one_of(st.characters(exclude_categories=()),

@@ -5,10 +5,10 @@ import json
 import random
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
+import pins
 from conftest import grouped_i4b, load, matchings_of
 from stableadmit import (College, GenConfig, Instance, LowerGroup, ShapeError,
                          SizeGuardError, Solution, check, da, empty_matching,
@@ -381,18 +381,10 @@ def report_digests() -> dict[str, str]:
 
 def test_oracle_reports_are_pinned():
     """Every report matches the digest captured once, before the oracle
-    built its per-college admitted lists in one pass over the matching,
-    with
-
-      PYTHONPATH=src:tests python -c "import json, test_oracle as t; \\
-        print(json.dumps(t.report_digests(), indent=1, sort_keys=True))" \\
-        > tests/oracle_pins.json
-
+    built its per-college admitted lists in one pass over the matching.
     Violation details name the first admit in matching order, so a
     reordered admitted list changes some digests."""
-    pins = json.loads((Path(__file__).parent / "oracle_pins.json")
-                      .read_text(encoding="utf-8"))
-    assert report_digests() == pins
+    assert report_digests() == pins.load("oracle_pins.json")
 
 
 # Path pins: the two report paths oracle_pins.json does not reach. The
@@ -467,15 +459,8 @@ def path_report_digests() -> dict[str, str]:
 def test_oracle_path_reports_are_pinned():
     """Every score-limit and grouped lower-quota report matches the digest
     captured once, before the matching variants shared one feasibility
-    pass and one blocking rule, with
-
-      PYTHONPATH=src:tests python -c "import json, test_oracle as t; \\
-        print(json.dumps(t.path_report_digests(), indent=1, sort_keys=True))" \\
-        > tests/oracle_path_pins.json
-    """
-    pins = json.loads((Path(__file__).parent / "oracle_path_pins.json")
-                      .read_text(encoding="utf-8"))
-    assert path_report_digests() == pins
+    pass and one blocking rule."""
+    assert path_report_digests() == pins.load("oracle_path_pins.json")
 
 
 MATCHING_VARIANTS = ("classical", "weak_ties", "lower", "common", "paired")
