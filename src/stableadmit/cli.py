@@ -326,6 +326,14 @@ def _cmd_solve(args, argv: list[str]) -> int:
 def _cmd_enumerate(args, argv: list[str]) -> int:
     inst = parse_instance(_read(args.instance))
     model, _plan = _build(inst, args.model, args.mode, args.group_policy)
+    # build_combined closes ties without witness rows (with common quotas
+    # or the lex policy), and lower quotas without blocking-group rows
+    # (the lex policy), only through its objective
+    mode, lex = args.mode or "", args.group_policy == "drop-with-lex-objective"
+    if args.model == "combined" and ("ties" in mode and ("common" in mode or lex)
+                                     or "lower" in mode and lex):
+        raise UsageError(f"enumerate cannot list {model.name}: its outcomes "
+                         "are closed by an objective, which enumerate ignores")
     projection = [v.name for v in model.variables.values()
                   if v.role in OUTCOME_ROLES]
     started = time.monotonic()

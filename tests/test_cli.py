@@ -16,12 +16,14 @@ import pytest
 
 import pins
 from conftest import FIXTURE_DIR, fixture_path, fixture_text, grouped_i4b
-from stableadmit import (GenConfig, Solution, SolverError, build_lower,
-                         build_paired_via_common, check, enumerate_stable,
+from stableadmit import (GenConfig, ModelError, Solution, SolverError,
+                         build_lower, build_paired_via_common, check,
+                         decode_solution, enumerate_feasible, enumerate_stable,
                          extract_solution, generate, gs_scorelimits,
                          parse_instance, serialize_instance,
                          serialize_solution, solution_from_document, solve)
 from stableadmit.cli import _build, main
+from stableadmit.solution import OUTCOME_ROLES
 
 SOLVE_KEYS = ["command", "instance_digest", "variant", "status", "matching",
               "score_limits", "set_limits", "open", "open_groups",
@@ -215,13 +217,24 @@ LABELS = [
 ]
 
 
+# The combined labels whose ties or lower quotas only the objective closes.
+ENUMERATE_REFUSED = {
+    "combined[ties,common;enforce]",
+    *(f"combined[{feats};drop_with_lex_objective]"
+      for feats in ("ties", "lower", "ties,lower", "ties,common",
+                    "lower,common", "ties,lower,common")),
+}
+
+
 @pytest.mark.parametrize("fixture,model,mode,policy,label", LABELS,
                          ids=[f"{row[4]}-{row[0]}-{row[2]}" for row in LABELS])
 def test_reports_print_the_builders_label(capsys, tmp_path, fixture, model,
                                           mode, policy, label):
     """solve and enumerate print the variant label, and it is the name of
     the model the command built; lower and common quotas together under
-    the enforce policy are refused before any label is printed."""
+    the enforce policy are refused before any label is printed, and
+    enumerate refuses, naming the label, the mixes that only their
+    objective closes."""
     if fixture == "I4B+group":
         path = tmp_path / "I4B+group.json"
         path.write_text(serialize_instance(grouped_i4b()), encoding="utf-8")
@@ -236,9 +249,13 @@ def test_reports_print_the_builders_label(capsys, tmp_path, fixture, model,
         return
     inst = parse_instance(path.read_text(encoding="utf-8"))
     assert _build(inst, model, mode, policy)[0].name == label
-    for command in ("solve", "enumerate"):
-        code, doc, _ = run(capsys, command, *argv)
-        assert code == 0 and doc["variant"] == label, command
+    code, doc, _ = run(capsys, "solve", *argv)
+    assert code == 0 and doc["variant"] == label
+    code, doc, err = run(capsys, "enumerate", *argv)
+    if label in ENUMERATE_REFUSED:
+        assert (code, doc) == (1, None) and label in err
+    else:
+        assert code == 0 and doc["variant"] == label
 
 
 def test_lower_commands_call_the_builder_at_call_time(capsys, monkeypatch):
@@ -372,6 +389,70 @@ def test_enumerate_cap_truncates(capsys):
                        "--cap", "2")
     assert code == 0
     assert doc["count"] == 2 and doc["truncated"] is True
+
+
+def test_enumerate_refuses_a_mix_only_its_objective_closes(capsys):
+    """On NEST, combined ties,common used to list 183 entries over three
+    matchings, two of them unstable under the common variant; common
+    alone lists its one stable matching."""
+    path = str(fixture_path("NEST"))
+    code, doc, err = run(capsys, "enumerate", path, "--model", "combined",
+                         "--mode", "ties,common")
+    assert (code, doc) == (1, None)
+    assert err == ("error: enumerate cannot list combined[ties,common;enforce]:"
+                   " its outcomes are closed by an objective, which enumerate"
+                   " ignores\n")
+    code, doc, _ = run(capsys, "enumerate", path, "--model", "common")
+    assert code == 0 and len({json.dumps(sol["matching"], sort_keys=True)
+                              for sol in doc["solutions"]}) == 1
+
+
+# Tiny markets of four kinds: plain, tied, with lower quotas and nested.
+AUDIT_MARKETS = {
+    "plain": {},
+    "tied": dict(tie_density=0.5, max_score=3),
+    "lower": dict(lower_range=(0, 2)),
+    "nested": dict(topology="nested", set_count=2),
+}
+# Each combined mode enumerate keeps, and the oracle variant that judges
+# its outcomes; ties,lower has no variant on tied markets.
+AUDIT_MODES = {
+    (None, None): "classical",
+    ("ties", None): "scorelimits_H",
+    ("lower", None): "lower",
+    ("common", None): "common",
+    ("ties,lower", None): "lower",
+    (None, "drop-with-lex-objective"): "classical",
+    ("common", "drop-with-lex-objective"): "common",
+}
+
+
+def test_enumerate_lists_only_stable_outcomes_of_the_combined_modes_it_keeps():
+    """Every outcome enumerate lists, projected and decoded as it does,
+    gets "stable" from the variant that judges the market."""
+    audited = 0
+    for kind, features in AUDIT_MARKETS.items():
+        for seed in range(40):
+            inst = generate(GenConfig(
+                **{"n": 5, "m": 3, "seed": seed, "list_range": (1, 3),
+                   "max_score": 6, "upper_range": (1, 2), **features}))
+            for (mode, policy), variant in AUDIT_MODES.items():
+                if mode == "ties,lower" and inst.has_ties:
+                    continue
+                try:
+                    model, _ = _build(inst, "combined", mode, policy)
+                except ModelError:
+                    continue
+                projection = [v.name for v in model.variables.values()
+                              if v.role in OUTCOME_ROLES]
+                res = enumerate_feasible(model, projection)
+                assert not res.truncated
+                for values in res.projections:
+                    sol = decode_solution(model, values)
+                    assert check(inst, sol, variant).verdict == "stable", \
+                        (kind, seed, model.name)
+                audited += len(res.projections)
+    assert audited > 5000
 
 
 @pytest.mark.parametrize("n,m", [(0, 2), (3, 0)])
