@@ -26,6 +26,9 @@ score-limit solution file without a matching section to the oracle as
 it is; the oracle reads the matching off the limits. Report sections and
 enumerate's projection follow solution.SECTIONS; a limits-only outcome
 has an empty matching in solve's report and none in enumerate's list.
+enumerate ignores objectives, so it refuses the combined mixes that
+only their objective closes: ties with common quotas or the lex policy,
+and lower quotas with the lex policy.
 """
 
 from __future__ import annotations

@@ -1,21 +1,14 @@
-"""The pin files beside this module, and the one command that recaptures
-them.
-
-A pin file holds values captured from the package once, which tests then
-recompute and compare. SOURCES names, for each file, the test function
-that computes its values; the tests read each file through load. Run from
-the repository root as
+"""The pin files beside this module: values captured from the package
+once, which the tests recompute and compare. SOURCES names the test
+function that computes each file, and the tests read each file through
+load. Run from the repository root,
 
   PYTHONPATH=src:tests python tests/pins.py
 
-It computes the values of every file before it writes any, so a source
-that raises leaves every file as it was. It then writes each file to
-NAME.new and renames that over NAME. Every file has one layout: one entry
-per line, keys sorted, each value written by json.dumps. Pins that did not
-move keep their bytes, so `git diff` shows exactly what changed.
+recaptures every file. It computes all values before it writes any file,
+then writes each through NAME.new renamed over NAME, one entry per line
+with keys sorted, so pins that did not move keep their bytes.
 """
-
-from __future__ import annotations
 
 import importlib
 import json
@@ -46,8 +39,8 @@ def dumps(pins: dict) -> str:
 
 
 def main() -> None:
-    # The test modules are imported here, not at the top, so that each of
-    # them can import this module.
+    # imported here, not at the top, so that each test module can import
+    # this one
     texts = {name: dumps(getattr(importlib.import_module(module), function)())
              for name, (module, function) in SOURCES.items()}
     for name, text in texts.items():

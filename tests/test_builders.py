@@ -442,16 +442,41 @@ def model_pin(model):
     return {"tags": model.tag_counts(), "sha256": model_digest(model)}
 
 
+def fixture_models(labels=tuple(BUILDS)):
+    """(key, model) for every pin instance each of the labels' builders
+    accepts, keyed "name label"."""
+    for label in labels:
+        for name, make in PIN_INSTANCES.items():
+            try:
+                model = BUILDS[label](make())
+            except ModelError:
+                continue
+            yield f"{name} {label}", model
+
+
+def formulation_pins(labels=tuple(BUILDS)):
+    """builder_pins.json: the model_pin of every fixture model."""
+    return {key: model_pin(model) for key, model in fixture_models(labels)}
+
+
+def search_pins(labels=tuple(BUILDS)):
+    """search_pins.json: [status, nodes, objective values] of solve on
+    every fixture model."""
+    out = {}
+    for key, model in fixture_models(labels):
+        res = solve(model)
+        out[key] = [res.status, res.nodes, res.objective_values]
+    return out
+
+
+def of_label(table, label):
+    return {key: v for key, v in table.items() if key.split(" ", 1)[1] == label}
+
+
 @pytest.mark.parametrize("label", sorted(BUILDS))
 def test_builder_formulations_are_pinned(label):
-    build = BUILDS[label]
-    for name, make in PIN_INSTANCES.items():
-        key = f"{name} {label}"
-        if key not in PINS:
-            with pytest.raises(ModelError):
-                build(make())
-            continue
-        assert model_pin(build(make())) == PINS[key], key
+    """A pin instance the label's builder refuses has no entry."""
+    assert formulation_pins([label]) == of_label(PINS, label)
 
 
 @pytest.mark.parametrize("label", sorted(BUILDS))
@@ -459,13 +484,9 @@ def test_no_two_rows_share_a_name(label):
     """A violated row is reported by its tag and subject, so no two rows
     of a model may share both; a pair's two cutoff rows name their
     colleges."""
-    for name, make in PIN_INSTANCES.items():
-        try:
-            model = BUILDS[label](make())
-        except ModelError:
-            continue
+    for key, model in fixture_models([label]):
         names = [(c.tag, c.subject) for c in model.constraints]
-        assert len(set(names)) == len(names), name
+        assert len(set(names)) == len(names), key
 
 
 SEARCH_PINS = pins.load("search_pins.json")
@@ -477,14 +498,7 @@ def test_builder_searches_are_pinned(label):
     pair of test_builder_formulations_are_pinned, captured before the
     search core kept its row activities cached; the propagation fixpoint
     does not depend on how it is reached, so the search must not move."""
-    build = BUILDS[label]
-    for name, make in PIN_INSTANCES.items():
-        key = f"{name} {label}"
-        assert (key in PINS) == (key in SEARCH_PINS), key
-        if key in PINS:
-            res = solve(build(make()))
-            assert [res.status, res.nodes, res.objective_values] \
-                == SEARCH_PINS[key], key
+    assert search_pins([label]) == of_label(SEARCH_PINS, label)
 
 
 def audit_plan(label):
@@ -587,33 +601,6 @@ def generated_digests(markets=tuple(GEN_PIN_MARKETS)):
                 except ModelError:
                     digest = None
                 out[f"{market} {seed} {label}"] = digest
-    return out
-
-
-def fixture_models():
-    """(key, model) for every pin instance each BUILDS label accepts,
-    keyed "name label"."""
-    for label in BUILDS:
-        for name, make in PIN_INSTANCES.items():
-            try:
-                model = BUILDS[label](make())
-            except ModelError:
-                continue
-            yield f"{name} {label}", model
-
-
-def formulation_pins():
-    """builder_pins.json: the model_pin of every fixture model."""
-    return {key: model_pin(model) for key, model in fixture_models()}
-
-
-def search_pins():
-    """search_pins.json: [status, nodes, objective values] of solve on
-    every fixture model."""
-    out = {}
-    for key, model in fixture_models():
-        res = solve(model)
-        out[key] = [res.status, res.nodes, res.objective_values]
     return out
 
 

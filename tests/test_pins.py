@@ -1,5 +1,5 @@
-"""The pin harness: every pin file has a source, has the writer's layout,
-and survives a recapture whose source raises."""
+"""The pin harness: every pin file has a source and the writer's layout,
+and a recapture whose source raises writes nothing."""
 
 import shutil
 
@@ -9,16 +9,15 @@ import pins
 
 
 def test_every_pin_file_has_a_source_and_every_source_a_file():
-    files = {path.name for path in pins.DIR.glob("*_pins.json")}
-    assert files == set(pins.SOURCES)
+    assert {path.name for path in pins.DIR.glob("*_pins.json")} \
+        == set(pins.SOURCES)
 
 
 @pytest.mark.parametrize("name", sorted(pins.SOURCES))
 def test_pin_file_is_in_the_writers_layout(name):
-    """A hand edit that changes the layout or key order shows here without
-    recomputing any value."""
-    text = (pins.DIR / name).read_text(encoding="utf-8")
-    assert pins.dumps(pins.load(name)) == text
+    """Catches a hand edit without recomputing any value."""
+    assert pins.dumps(pins.load(name)) \
+        == (pins.DIR / name).read_text(encoding="utf-8")
 
 
 def fine_source():
@@ -31,27 +30,26 @@ def raising_source():
 
 def test_recapture_writes_each_file_in_one_layout(tmp_path, monkeypatch):
     monkeypatch.setattr(pins, "DIR", tmp_path)
-    monkeypatch.setattr(pins, "SOURCES", {
-        "first_pins.json": ("test_pins", "fine_source")})
-    (tmp_path / "first_pins.json").write_text("{}", encoding="utf-8")
+    monkeypatch.setattr(pins, "SOURCES",
+                        {"a_pins.json": ("test_pins", "fine_source")})
     pins.main()
-    assert (tmp_path / "first_pins.json").read_text(encoding="utf-8") \
+    assert [p.name for p in tmp_path.iterdir()] == ["a_pins.json"]
+    assert (tmp_path / "a_pins.json").read_text(encoding="utf-8") \
         == '{\n  "a": null,\n  "b": [1, "x"]\n}\n'
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["first_pins.json"]
 
 
 def test_a_source_that_raises_leaves_every_pin_file_untouched(
         tmp_path, monkeypatch):
-    """Every source runs before any file is written, so the files whose
-    sources came first keep their bytes too."""
+    """The sources before the raising one ran, yet their files keep their
+    bytes."""
     for name in pins.SOURCES:
         shutil.copy(pins.DIR / name, tmp_path / name)
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-    names = list(pins.SOURCES)
+    *first, last = pins.SOURCES
     monkeypatch.setattr(pins, "DIR", tmp_path)
     monkeypatch.setattr(pins, "SOURCES", {
-        **{name: ("test_pins", "fine_source") for name in names[:-1]},
-        names[-1]: ("test_pins", "raising_source")})
+        **dict.fromkeys(first, ("test_pins", "fine_source")),
+        last: ("test_pins", "raising_source")})
     with pytest.raises(RuntimeError, match="source failed"):
         pins.main()
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} \
