@@ -94,6 +94,7 @@ def classical_with(objective: str):
 # formulation each one emits on every fixture (builder_pins.json) and the
 # search that solves it (search_pins.json); pins.py lists every pin file,
 # the test function that computes it and the command that recaptures it.
+# No test rewrites a pin file.
 BUILDS = {
     "classical": build_classical,
     "classical:ties": partial(build_classical, ties=True),
