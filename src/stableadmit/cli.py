@@ -28,7 +28,10 @@ enumerate's projection follow solution.SECTIONS; a limits-only outcome
 has an empty matching in solve's report and none in enumerate's list.
 enumerate ignores objectives, so it refuses the combined mixes that
 only their objective closes: ties with common quotas or the lex policy,
-and lower quotas with the lex policy.
+and lower quotas with the lex policy. Tied models close their cutoffs,
+so enumerate projects on every outcome section there. Elsewhere it
+projects on the matching and open flags, and finishes each matching
+with its least cutoffs in the same search; --cap counts those matchings.
 """
 
 from __future__ import annotations
@@ -337,11 +340,17 @@ def _cmd_enumerate(args, argv: list[str]) -> int:
                                      or "lower" in mode and lex):
         raise UsageError(f"enumerate cannot list {model.name}: its outcomes "
                          "are closed by an objective, which enumerate ignores")
-    projection = [v.name for v in model.variables.values()
-                  if v.role in OUTCOME_ROLES]
+    # a tied model closes its cutoffs, so each cutoff vector is an outcome;
+    # elsewhere each matching is listed once, with its least cutoffs
+    least = () if "ties" in mode else LIMIT_ROLES
+    variables = model.variables.values()
+    projection = [v.name for v in variables
+                  if v.role in OUTCOME_ROLES and v.role not in least]
     started = time.monotonic()
     res = enumerate_feasible(model, projection, cap=args.cap,
-                             node_cap=args.node_cap, time_cap=args.time_cap)
+                             node_cap=args.node_cap, time_cap=args.time_cap,
+                             minimize=[v.name for v in variables
+                                       if v.role in least])
     elapsed = time.monotonic() - started
     _emit({
         **_head(argv, inst),

@@ -23,9 +23,10 @@ model without one gets a single constant stage, which ends at the first
 feasible leaf) by an incumbent leaf and a bound prune, and freezes each
 optimum as two rows before the next stage, so the node and time caps span
 all stages. enumerate_feasible branches over the projection variables
-only, and its leaf runs the same driver again from the leaf's own bounds
-and activities to find one completion. Every accepted leaf is re-verified
-against the original constraints, independently of the propagation rows.
+only, and its leaf runs the same minimiser from the leaf's own bounds and
+activities to find one completion, the least over the variables it is
+asked to minimise. Every accepted leaf is re-verified against the
+original constraints, independently of the propagation rows.
 """
 
 from __future__ import annotations
@@ -285,10 +286,12 @@ def _search(eng: _Engine, lo: list[int], hi: list[int], act: list[int],
     return False
 
 
-def _minimize(eng: _Engine, terms: tuple[tuple[int, int], ...]
+def _minimize(eng: _Engine, terms: tuple[tuple[int, int], ...],
+              node: tuple | None = None
               ) -> tuple[dict[str, int] | None, int | None]:
-    """Least value of sum(c * var[v]) over the engine's rows, as (best
-    assignment, its value); proven least unless eng.capped."""
+    """Least value of sum(c * var[v]) over the engine's rows below node
+    (lo, hi, act, seed), the root by default, as (best assignment, its
+    value); proven least unless eng.capped."""
     best: dict[str, int] | None = None
     best_val: int | None = None
 
@@ -304,7 +307,7 @@ def _minimize(eng: _Engine, terms: tuple[tuple[int, int], ...]
         return best_val is not None and sum(
             c * (lo[v] if c > 0 else hi[v]) for v, c in terms) >= best_val
 
-    _search(eng, *eng.root(), incumbent, prune if terms else None)
+    _search(eng, *(node or eng.root()), incumbent, prune if terms else None)
     return best, best_val
 
 
@@ -355,43 +358,48 @@ def solve_lex(model: LinearModel, node_cap: int | None = None,
 
 def enumerate_feasible(model: LinearModel, projection: Sequence[str],
                        cap: int | None = None, node_cap: int | None = None,
-                       time_cap: float | None = None) -> EnumerateResult:
+                       time_cap: float | None = None,
+                       minimize: Sequence[str] = ()) -> EnumerateResult:
     """All values the projection variables take over the feasible set.
 
     Projection variables are branched first; each fully fixed projection is
     kept as soon as one feasible completion of the remaining variables
-    exists, so witness multiplicity never inflates the listing. Objectives
+    exists, so witness multiplicity never inflates the listing. With
+    minimize, that completion is one of least sum over the minimize
+    variables, found by the same search below the projection's leaf, and
+    each entry carries their values beside the projection's. Objectives
     are ignored. Results are sorted by the projection values read in sorted
-    variable-name order; truncated marks a listing cut short by any cap.
+    variable-name order; truncated marks a listing cut short by any cap,
+    and an entry whose completion a cap cut short is not listed.
     An empty projection asks whether the model is feasible: it lists [{}]
     for a feasible model and [] for an infeasible one.
     """
-    if len(set(projection)) != len(projection):
-        raise ModelError("projection names a variable twice")
-    for name in projection:
+    names = [*projection, *minimize]
+    if len(set(names)) != len(names):
+        raise ModelError("projection and minimize name a variable twice")
+    for name in names:
         if name not in model.variables:
             raise ModelError(f"unknown projection variable {name!r}")
     eng = _Engine(model, node_cap, time_cap)
     proj_idx = [eng.index[n] for n in projection]
-    found: list[tuple[int, ...]] = []
-
-    def verified(lo, hi, act) -> bool:
-        eng.leaf_assignment(lo)
-        return True
+    terms = tuple((eng.index[n], 1) for n in minimize)
+    found: list[dict[str, int]] = []
 
     def keep(lo, hi, act) -> bool:
         """True, which ends the listing, only when a cap cuts it short."""
         # the completion may reuse these lists, but a fixed variable never moves
-        if not _search(eng, lo, hi, act, (), verified):
-            return eng.capped
+        best, _ = _minimize(eng, terms, (lo, hi, act, ()))
+        if eng.capped:
+            return True
+        if best is None:
+            return False
         if cap is not None and len(found) >= cap:
             return True
-        found.append(tuple(lo[v] for v in proj_idx))
+        found.append({n: best[n] for n in names})
         return False
 
     truncated = (_search(eng, *eng.root(), keep, candidates=proj_idx)
                  or eng.capped)
-    name_order = sorted(range(len(projection)), key=lambda k: projection[k])
-    found.sort(key=lambda tup: tuple(tup[k] for k in name_order))
-    projections = [dict(zip(projection, tup)) for tup in found]
-    return EnumerateResult(projections, truncated, eng.nodes, eng.row_visits)
+    order = sorted(projection)
+    found.sort(key=lambda entry: [entry[n] for n in order])
+    return EnumerateResult(found, truncated, eng.nodes, eng.row_visits)

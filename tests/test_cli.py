@@ -22,7 +22,8 @@ from stableadmit import (GenConfig, ModelError, Solution, SolverError,
                          extract_solution, generate, gs_scorelimits,
                          parse_instance, serialize_instance,
                          serialize_solution, solution_from_document, solve)
-from stableadmit.cli import _build, main
+from stableadmit.builders import add_named_objective
+from stableadmit.cli import CHECK_VARIANTS, _build, main
 from stableadmit.solution import OUTCOME_ROLES
 
 SOLVE_KEYS = ["command", "instance_digest", "variant", "status", "matching",
@@ -374,19 +375,44 @@ def test_unknown_subcommand_exits_1(capsys):
 
 
 def test_enumerate_strict_cutoffs(capsys):
+    # c1 admits a1 at any limit from 4 to 7; the listing names the matching
+    # once, with its least limit
     code, doc, _ = run(capsys, "enumerate", str(fixture_path("I2")),
                        "--model", "scorelimits", "--mode", "strict")
     assert code == 0
-    assert doc["count"] == 4
+    assert doc["count"] == 1
     assert doc["truncated"] is False
-    limits = sorted(sol["score_limits"]["c1"] for sol in doc["solutions"])
-    assert limits == [4, 5, 6, 7]
+    assert doc["solutions"] == [{"matching": {"a1": "c1", "a2": None},
+                                 "score_limits": {"c1": 4}}]
 
 
-def test_enumerate_cap_truncates(capsys):
-    code, doc, _ = run(capsys, "enumerate", str(fixture_path("I2")),
-                       "--model", "scorelimits", "--mode", "strict",
-                       "--cap", "2")
+# Three applicants and three one-seat colleges whose preferences form a
+# Latin square: three stable matchings, one per cyclic shift.
+LATIN = {
+    "max_score": 3,
+    "colleges": [{"id": c, "upper": 1} for c in ("c1", "c2", "c3")],
+    "applicants": [
+        {"id": "a1", "list": [{"rank": 1, "college": "c1", "score": 1},
+                              {"rank": 2, "college": "c2", "score": 2},
+                              {"rank": 3, "college": "c3", "score": 3}]},
+        {"id": "a2", "list": [{"rank": 1, "college": "c2", "score": 1},
+                              {"rank": 2, "college": "c3", "score": 2},
+                              {"rank": 3, "college": "c1", "score": 3}]},
+        {"id": "a3", "list": [{"rank": 1, "college": "c3", "score": 1},
+                              {"rank": 2, "college": "c1", "score": 2},
+                              {"rank": 3, "college": "c2", "score": 3}]},
+    ],
+}
+
+
+def test_enumerate_cap_truncates(capsys, tmp_path):
+    path = write_json(tmp_path, "latin.json", LATIN)
+    argv = ("enumerate", path, "--model", "scorelimits", "--mode", "strict")
+    code, doc, _ = run(capsys, *argv)
+    assert (code, doc["count"], doc["truncated"]) == (0, 3, False)
+    assert len({json.dumps(sol["matching"], sort_keys=True)
+                for sol in doc["solutions"]}) == 3
+    code, doc, _ = run(capsys, *argv, "--cap", "2")
     assert code == 0
     assert doc["count"] == 2 and doc["truncated"] is True
 
@@ -405,6 +431,141 @@ def test_enumerate_refuses_a_mix_only_its_objective_closes(capsys):
     code, doc, _ = run(capsys, "enumerate", path, "--model", "common")
     assert code == 0 and len({json.dumps(sol["matching"], sort_keys=True)
                               for sol in doc["solutions"]}) == 1
+
+
+def test_strict_listing_equals_the_ties_full_listing(capsys, tmp_path):
+    """On strict markets the ties-full model closes each matching's
+    cutoffs at their least, so its listing is the strict listing:
+    matchings and cutoffs."""
+    path = tmp_path / "market.json"
+    entries = 0
+    for seed in range(300):
+        inst = generate(GenConfig(n=8, m=4, seed=seed, list_range=(1, 3),
+                                  max_score=10, upper_range=(1, 2)))
+        assert not inst.has_ties
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        listings = []
+        for mode in ("strict", "ties-full"):
+            code, doc, _ = run(capsys, "enumerate", str(path),
+                               "--model", "scorelimits", "--mode", mode)
+            assert (code, doc["truncated"]) == (0, False)
+            listings.append(sorted(json.dumps(sol, sort_keys=True)
+                                   for sol in doc["solutions"]))
+        assert listings[0] == listings[1], seed
+        entries += len(listings[0])
+    assert entries >= 300
+
+
+# The labels whose matchings admit many cutoff vectors, each with its
+# (model, mode, policy), the features of the tiny markets it lists and
+# the check variants that judge its outcomes; the first is the oracle
+# plan of the label.
+LEAST_CUTOFF_LABELS = {
+    "scorelimits:strict": (("scorelimits", "strict", None), {},
+                           ("classical", "scorelimits")),
+    "common": (("common", None, None),
+               dict(topology="nested", set_count=2), ("common",)),
+    "paired": (("paired", "explicit", None), dict(pair_prob=0.3),
+               ("paired",)),
+    "paired:via-common": (("paired", "via-common", None),
+                          dict(pair_prob=0.3), ("paired",)),
+    "combined[common;enforce]": (("combined", "common", None),
+                                 dict(topology="nested", set_count=2),
+                                 ("common",)),
+    "combined[common;drop_with_lex_objective]": (
+        ("combined", "common", "drop-with-lex-objective"),
+        dict(topology="nested", set_count=2), ("common",)),
+}
+
+
+def least_cutoff_listings(capsys, tmp_path, label):
+    """(instance, market path, enumerate report) on 30 tiny markets of the
+    label, at most 16 applications each."""
+    (model, mode, policy), features, _ = LEAST_CUTOFF_LABELS[label]
+    argv = ["--model", model, *(["--mode", mode] if mode else []),
+            *(["--group-policy", policy] if policy else [])]
+    for seed in range(30):
+        inst = generate(GenConfig(**{
+            "n": 5, "m": 3, "seed": seed, "list_range": (1, 3),
+            "max_score": 6, "upper_range": (1, 2), **features}))
+        assert len(inst.applications) <= 16
+        path = tmp_path / f"tiny{seed}.json"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        code, doc, err = run(capsys, "enumerate", str(path), *argv)
+        assert (code, err, doc["variant"], doc["truncated"]) == (
+            0, "", label, False), seed
+        yield inst, str(path), doc
+
+
+@pytest.mark.parametrize("label", sorted(LEAST_CUTOFF_LABELS))
+def test_listing_names_each_matching_once(capsys, tmp_path, label):
+    """enumerate lists each stable matching of the label's oracle plan
+    once, and every outcome, read back from its own file through check,
+    is stable under each variant that judges the label."""
+    variants = LEAST_CUTOFF_LABELS[label][2]
+    entries = 0
+    for inst, path, doc in least_cutoff_listings(capsys, tmp_path, label):
+        matchings = [json.dumps(sol["matching"], sort_keys=True)
+                     for sol in doc["solutions"]]
+        assert doc["count"] == len(matchings) == len(set(matchings)), path
+        oracle = enumerate_stable(inst, CHECK_VARIANTS[variants[0]])
+        assert set(matchings) == {json.dumps(s.matching_by_ids(inst),
+                                             sort_keys=True)
+                                  for s in oracle.solutions}, path
+        for sol in doc["solutions"]:
+            outcome = write_json(tmp_path, "outcome.json", sol)
+            for variant in variants:
+                code, report, _ = run(capsys, "check", "--variant", variant,
+                                      path, outcome)
+                assert (code, report["verdict"]) == (0, "stable"), (
+                    path, variant, sol)
+        entries += len(matchings)
+    assert entries >= 30
+
+
+@pytest.mark.parametrize("label", sorted(LEAST_CUTOFF_LABELS))
+def test_listed_cutoffs_are_the_least_for_their_matching(capsys, tmp_path,
+                                                         label):
+    """Each listed cutoff total is solve's min-score-limits optimum over
+    the label's model with the listed matching fixed."""
+    model_name, mode, policy = LEAST_CUTOFF_LABELS[label][0]
+    for inst, _path, doc in least_cutoff_listings(capsys, tmp_path, label):
+        for listed in doc["solutions"]:
+            sol = solution_from_document(inst, listed)
+            model, _ = _build(inst, model_name, mode, policy)
+            model.objectives.clear()
+            for var in model.vars_by_role("assign"):
+                i, target = var.key
+                value = int(sol.matching.get(i) == target)
+                model.variables[var.name] = var._replace(lo=value, hi=value)
+            add_named_objective(inst, model, "min_score_limits")
+            res = solve(model)
+            total = sum(sol.score_limits.values()) + sum(
+                sol.set_limits.values())
+            assert (res.status, res.objective_values) == (
+                "optimal", [total]), (label, listed)
+
+
+def test_a_cap_inside_a_completion_lists_no_unfinished_outcome(capsys,
+                                                               tmp_path):
+    """A node cap that stops the least-cutoff completion of a matching
+    marks the listing truncated and drops that matching: every entry a
+    capped listing prints is an entry of the full listing. On this
+    market some caps stop a completion at cutoffs above the least."""
+    inst = generate(GenConfig(n=5, m=3, seed=2, list_range=(1, 3),
+                              max_score=6, upper_range=(1, 2), pair_prob=0.3))
+    path = tmp_path / "market.json"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    argv = ("enumerate", str(path), "--model", "paired")
+    code, full, _ = run(capsys, *argv)
+    assert (code, full["truncated"]) == (0, False)
+    nodes = full["solver"]["nodes"]
+    for cap in range(nodes):
+        code, doc, _ = run(capsys, *argv, "--node-cap", str(cap))
+        assert (code, doc["truncated"]) == (0, True), cap
+        assert all(sol in full["solutions"] for sol in doc["solutions"]), cap
+    code, doc, _ = run(capsys, *argv, "--node-cap", str(nodes))
+    assert _unstamped(doc) == _unstamped(full)
 
 
 # Tiny markets of four kinds: plain, tied, with lower quotas and nested.
@@ -797,7 +958,7 @@ def test_main_calls_share_no_state(capsys, tmp_path):
         "SystemExit(0)", "SystemExit(0)"]
     assert forward[0][1]["preprocess"] is not None
     assert forward[1][1]["preprocess"] is None
-    assert (forward[3][1]["count"], forward[4][1]["count"]) == (1, 4)
+    assert (forward[3][1]["count"], forward[4][1]["count"]) == (1, 1)
     assert forward[-2][1].startswith("usage: stableadmit [-h]")
     assert forward[-1][1].startswith("usage: stableadmit solve [-h]")
 

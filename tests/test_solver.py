@@ -208,6 +208,47 @@ def test_cap_inside_a_completion_ends_the_listing():
     assert res.nodes == 8
 
 
+def least_completion_model() -> LinearModel:
+    # y >= x + 1, and y >= 3 unless w = 1; w, the narrowest domain, is
+    # branched first at 0, so each first completion of x has y = 3
+    model = LinearModel()
+    model.add_var("x", 0, 2)
+    model.add_var("y", 0, 5)
+    model.add_var("w", 0, 1)
+    model.add_constraint("above_x", "", {"y": 1, "x": -1}, ">=", 1)
+    model.add_constraint("unless_w", "", {"y": 1, "w": 2}, ">=", 3)
+    return model
+
+
+def test_enumerate_completes_each_projection_at_its_least():
+    model = least_completion_model()
+    res = enumerate_feasible(model, ["x"], minimize=["y"])
+    assert not res.truncated
+    assert res.projections == [{"x": 0, "y": 1}, {"x": 1, "y": 2},
+                               {"x": 2, "y": 3}]
+    assert [p["x"] for p in enumerate_feasible(model, ["x"]).projections] == [
+        0, 1, 2]
+    with pytest.raises(ModelError, match="twice"):
+        enumerate_feasible(model, ["x"], minimize=["x"])
+    with pytest.raises(ModelError, match="unknown projection"):
+        enumerate_feasible(model, ["x"], minimize=["zz"])
+
+
+def test_a_capped_completion_is_not_listed():
+    """Every cap below the full node count truncates the listing, and
+    each entry it keeps is an entry of the full listing, although some
+    caps stop a completion at its first leaf, y = 3."""
+    model = least_completion_model()
+    full = enumerate_feasible(model, ["x"], minimize=["y"])
+    for node_cap in range(full.nodes):
+        res = enumerate_feasible(model, ["x"], node_cap=node_cap,
+                                 minimize=["y"])
+        assert res.truncated, node_cap
+        assert all(p in full.projections for p in res.projections), node_cap
+    assert enumerate_feasible(model, ["x"], node_cap=full.nodes,
+                              minimize=["y"]) == full
+
+
 def test_enumerate_order_is_sorted_by_name_then_value():
     model = LinearModel()
     model.add_var("b", 0, 1)
