@@ -29,7 +29,7 @@ from .solution import (Solution, empty_matching,
                        serialize_solution, solution_from_document,
                        solution_to_document)
 from .solver import (EnumerateResult, SolveResult, SolverError,
-                     enumerate_feasible, solve, solve_lex)
+                     enumerate_feasible, solve)
 
 __version__ = "0.1.0"
 
@@ -50,5 +50,5 @@ __all__ = [
     "lower_quota_heuristic", "must_close", "must_open", "parse_instance",
     "rank_objective", "serialize_instance",
     "serialize_solution", "solution_from_document", "solution_to_document",
-    "solve", "solve_lex", "to_document",
+    "solve", "to_document",
 ]

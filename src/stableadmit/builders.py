@@ -12,7 +12,9 @@ quotas and shared upper quotas to one model; the ties modes of
 build_scorelimits, build_lower and build_common are presets over it,
 as the strict mode is over build_paired; presets keep their own
 refusals. Every model is named with the variant label the command
-line prints, such as scorelimits:ties_min or combined[ties;enforce].
+line prints, such as scorelimits:ties_min or combined[ties;enforce],
+and with what closes it (LinearModel.closure), which build_combined
+decides and the presets inherit.
 
 Every score-limit model (strict, tied, common, paired explicit and
 via-common) runs on seat pools, each a plain record naming the colleges
@@ -458,17 +460,14 @@ def _emit_common_rows(model: LinearModel, inst: Instance, nm: _Names,
                                  {pool.limit: 1, pool.filled: -top}, "<=", 0)
 
 
-def _college_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
-    """Each college's own pool over every application taking its seats."""
+def _seat_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
+    """Each college's own pool over every application taking its seats,
+    then one pool per common quota set."""
     return [
         _SeatPool(_COLLEGE_POOL, c.id, f"c{j}", nm.limit[j], f"f_{j}", j,
                   c.upper, (j,))
         for j, c in enumerate(inst.colleges)
-    ]
-
-
-def _common_pools(inst: Instance, nm: _Names) -> list[_SeatPool]:
-    return _college_pools(inst, nm) + [
+    ] + [
         _SeatPool(_SET_POOL, qs.id, f"s{si}", f"tset_{si}", f"fset_{si}", qs.id,
                   qs.upper, qs.members)
         for si, qs in enumerate(inst.common_quota_sets)
@@ -504,7 +503,7 @@ def build_paired(inst: Instance) -> LinearModel:
     nm = _Names(inst)
     _add_assignment(model, nm)
     _add_applicant_feasible(model, inst, nm)
-    _emit_common_rows(model, inst, nm, _college_pools(inst, nm),
+    _emit_common_rows(model, inst, nm, _seat_pools(inst, nm),
                       signed_pairs=True)
     return model
 
@@ -525,7 +524,7 @@ def build_paired_via_common(inst: Instance) -> LinearModel:
     nm = _Names(inst)
     _add_assignment(model, nm)
     _add_applicant_feasible(model, inst, nm)
-    _emit_common_rows(model, inst, nm, _college_pools(inst, nm))
+    _emit_common_rows(model, inst, nm, _seat_pools(inst, nm))
     return model
 
 
@@ -542,7 +541,9 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
     blocking-group rows and instead maximises the number of admitted
     applicants, then minimises the cutoff total. Lower plus shared
     quotas cannot both be enforced, so that mix requires the lex
-    policy.
+    policy. The model's closure records the outcome: "cutoffs" where
+    witness rows close tied cutoffs, "objective" where ties or lower
+    quotas lack those rows or their blocking-group rows.
     """
     if group_stability not in GROUP_POLICIES:
         _refuse("build_combined", f"unknown policy {group_stability!r}")
@@ -569,15 +570,17 @@ def build_combined(inst: Instance, *, ties: bool = False, lower: bool = False,
         if inst.lower_quota_groups:
             _add_group_rows(model, inst, nm)
     if common or ties:
-        pools = _common_pools(inst, nm) if common else _college_pools(inst, nm)
-        _emit_common_rows(model, inst, nm, pools, open_relaxed=lower,
-                          with_flags=not ties)
-        if ties and not common and group_stability == "enforce":
-            _add_witness_closure(model, inst, nm)
+        _emit_common_rows(model, inst, nm, _seat_pools(inst, nm),
+                          open_relaxed=lower, with_flags=not ties)
     else:
         if not lower:
             _add_college_feasible(model, inst, nm)
         _add_pairwise_stable(model, inst, nm, open_relaxed=lower)
+    if ties and not common and group_stability == "enforce":
+        _add_witness_closure(model, inst, nm)
+        model.closure = "cutoffs"
+    elif ties or lower and group_stability == "drop_with_lex_objective":
+        model.closure = "objective"  # no witness or blocking-group rows
     if lower and group_stability == "enforce" and not inst.lower_quota_groups:
         _add_lower_stable_closed(model, inst, nm)
     if group_stability == "drop_with_lex_objective":

@@ -4,9 +4,10 @@ Subcommands: validate, generate, solve, check, compare, enumerate.
 Reports are JSON documents with a fixed key order printed on standard
 output; diagnostics go to standard error. Exit codes: 0 for a stable or
 feasible outcome (check always exits 0 once it produces a verdict),
-1 for usage or validation errors or a search cap hit before any
-outcome was found, 2 for proven infeasibility, and 3
-when the solver and the stability oracle disagree about a result.
+1 for usage or validation errors, a search cap hit before any outcome
+was found, or a standard output closed before the report was written
+(quietly), 2 for proven infeasibility, and 3 when the solver and the
+stability oracle disagree about a result.
 
 `main` builds its argument parser on first use and reuses it for every
 later call in the process. It looks the subcommand up in one table of
@@ -26,28 +27,30 @@ score-limit solution file without a matching section to the oracle as
 it is; the oracle reads the matching off the limits. Report sections and
 enumerate's projection follow solution.SECTIONS; a limits-only outcome
 has an empty matching in solve's report and none in enumerate's list.
-enumerate ignores objectives, so it refuses the combined mixes that
-only their objective closes: ties with common quotas or the lex policy,
-and lower quotas with the lex policy. Tied models close their cutoffs,
-so enumerate projects on every outcome section there. Elsewhere it
-projects on the matching and open flags, and finishes each matching
-with its least cutoffs in the same search; --cap counts those matchings.
+The builder records what closes each model (LinearModel.closure), and
+enumerate and --preprocess read it there. enumerate ignores objectives,
+so it refuses the models that only their objective closes, as
+--preprocess does. Where the rows close the cutoffs too, enumerate
+projects on every outcome section. Elsewhere it projects on the
+matching and open flags, and finishes each matching with its least
+cutoffs in the same search; --cap counts those matchings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import cache
 
 # induced_matching stays imported because the traced benchmark patches it here
 from .algorithms import AlgorithmError, induced_matching, lower_quota_heuristic
-from .builders import (COMBINED_FEATURES, SCORELIMIT_MODES, add_named_objective,
-                       build_classical, build_combined, build_common,
-                       build_lower, build_paired, build_paired_via_common,
-                       build_scorelimits, decode_solution, extract_solution)
+from .builders import (COMBINED_FEATURES, add_named_objective, build_classical,
+                       build_combined, build_common, build_lower, build_paired,
+                       build_paired_via_common, build_scorelimits,
+                       decode_solution, extract_solution)
 from .instance import (Instance, InstanceError, instance_digest,
                        parse_instance, serialize_instance)
 from .generator import ConfigError, GenConfig, generate
@@ -56,9 +59,9 @@ from .oracle import ShapeError, SizeGuardError, check, quota_breaches
 from .preprocess import apply_fixings, fix_iterate
 from .solution import (DOCUMENT_KEYS, LIMIT_ROLES, OUTCOME_ROLES, Solution,
                        solution_from_document, solution_to_document)
-# solve_lex stays imported because the traced benchmark patches it here
-from .solver import (SolveResult, SolverError, enumerate_feasible, solve,
-                     solve_lex)
+from .solver import SolveResult, SolverError, enumerate_feasible, solve
+# solve_lex stays a name here because the traced benchmark patches it
+from .solver import solve as solve_lex
 
 MODELS = ("classical", "scorelimits", "lower", "common", "paired", "combined")
 OBJECTIVES = ("applicant-optimal", "applicant-pessimal",
@@ -165,10 +168,10 @@ def _build(inst: Instance, model_name: str, mode: str | None,
         ties = mode == "ties"
         return build_classical(inst, ties=ties), "weak_ties" if ties else "classical"
     if model_name == "scorelimits":
-        mode = (mode or "strict").replace("-", "_")
-        if mode not in SCORELIMIT_MODES:
+        mode = mode or "strict"
+        if mode not in ("strict", "ties-min", "ties-full"):
             raise UsageError(f"scorelimits has no mode {mode!r}")
-        return (build_scorelimits(inst, mode=mode),
+        return (build_scorelimits(inst, mode=mode.replace("-", "_")),
                 "classical" if mode == "strict" else "scorelimits_H")
     if model_name in ("lower", "common"):
         if mode:
@@ -202,7 +205,7 @@ def _apply_objective(inst: Instance, model: LinearModel, model_name: str,
     if model_name == "combined":
         raise UsageError("combined objectives are fixed by the policy; "
                          "--objective is not accepted")
-    if model.name == "scorelimits:ties_min":
+    if model.objectives:
         raise UsageError("scorelimits ties-min carries its own objective")
     if objective.startswith("applicant-") and model_name != "classical":
         raise UsageError(f"{objective} applies to --model classical only")
@@ -215,7 +218,8 @@ def _apply_objective(inst: Instance, model: LinearModel, model_name: str,
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    # flushed here, so that a closed stdout fails inside main
+    print(json.dumps(doc, indent=2), flush=True)
 
 
 def _outcome(inst: Instance, sol: Solution | None,
@@ -268,7 +272,7 @@ def _cmd_generate(args, _argv: list[str]) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write {args.out}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        print(text, end="", flush=True)
     return 0
 
 
@@ -308,7 +312,7 @@ def _cmd_solve(args, argv: list[str]) -> int:
         if not model.vars_by_role("open"):
             raise UsageError("--preprocess needs a model with open flags "
                              "(lower quotas)")
-        if args.model == "combined" and (args.group_policy or "enforce") != "enforce":
+        if model.closure == "objective":
             raise UsageError("--preprocess is only sound under the enforce policy")
         fixing = fix_iterate(inst)
         apply_fixings(model, fixing)
@@ -332,17 +336,12 @@ def _cmd_solve(args, argv: list[str]) -> int:
 def _cmd_enumerate(args, argv: list[str]) -> int:
     inst = parse_instance(_read(args.instance))
     model, _plan = _build(inst, args.model, args.mode, args.group_policy)
-    # build_combined closes ties without witness rows (with common quotas
-    # or the lex policy), and lower quotas without blocking-group rows
-    # (the lex policy), only through its objective
-    mode, lex = args.mode or "", args.group_policy == "drop-with-lex-objective"
-    if args.model == "combined" and ("ties" in mode and ("common" in mode or lex)
-                                     or "lower" in mode and lex):
+    if model.closure == "objective":
         raise UsageError(f"enumerate cannot list {model.name}: its outcomes "
                          "are closed by an objective, which enumerate ignores")
-    # a tied model closes its cutoffs, so each cutoff vector is an outcome;
+    # where the rows close the cutoffs each cutoff vector is an outcome;
     # elsewhere each matching is listed once, with its least cutoffs
-    least = () if "ties" in mode else LIMIT_ROLES
+    least = () if model.closure == "cutoffs" else LIMIT_ROLES
     variables = model.variables.values()
     projection = [v.name for v in variables
                   if v.role in OUTCOME_ROLES and v.role not in least]
@@ -432,6 +431,12 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"error: internal solver inconsistency: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # stdout's reader left; devnull takes the interpreter's last flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 A model is a bag of bounded integer variables, linear constraints, and an
 ordered list of objectives (more than one means lexicographic intent).
+Its builder records in closure what closes it: the rows, for the matching
+("matching") or for the cutoffs too ("cutoffs"), or only the objective.
 Constraints carry a tag (the rule family) plus a subject (which applicant,
 college, set, or group the row is about), so a violated row can be reported
 as e.g. college_feasible(c1).
@@ -55,6 +57,7 @@ class LinearModel:
     variables: dict[str, Variable] = field(default_factory=dict)
     constraints: list[Constraint] = field(default_factory=list)
     objectives: list[Objective] = field(default_factory=list)
+    closure: str = "matching"   # "matching" | "cutoffs" | "objective"
 
     def add_var(self, name: str, lo: int, hi: int,
                 role: str = "aux", key: object = None) -> str:

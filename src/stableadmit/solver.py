@@ -348,14 +348,6 @@ def solve(model: LinearModel, node_cap: int | None = None,
                        time.monotonic() - started, eng.row_visits)
 
 
-def solve_lex(model: LinearModel, node_cap: int | None = None,
-              time_cap: float | None = None) -> SolveResult:
-    """solve for a model that must carry at least one objective."""
-    if not model.objectives:
-        raise ModelError("model has no objectives")
-    return solve(model, node_cap, time_cap)
-
-
 def enumerate_feasible(model: LinearModel, projection: Sequence[str],
                        cap: int | None = None, node_cap: int | None = None,
                        time_cap: float | None = None,

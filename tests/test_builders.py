@@ -16,7 +16,7 @@ from stableadmit import (GenConfig, ModelError, ShapeError, SizeGuardError,
                          enumerate_feasible, enumerate_stable,
                          extract_solution, generate, parse_instance,
                          serialize_solution, solution_from_document,
-                         solution_to_document, solve, solve_lex)
+                         solution_to_document, solve)
 from stableadmit.builders import add_named_objective
 from stableadmit.oracle import quota_breaches
 from stableadmit.solution import OUTCOME_ROLES
@@ -366,10 +366,10 @@ def test_combined_ties_and_lower():
 
 
 def test_combined_drop_policy_uses_lexicographic_objectives():
-    res = solve_lex(build_combined(
+    res = solve(build_combined(
         load("I4"), lower=True, group_stability="drop_with_lex_objective"))
     assert res.status == "optimal" and res.objective_values == [0, 0]
-    res = solve_lex(build_combined(
+    res = solve(build_combined(
         load("I4B"), lower=True, group_stability="drop_with_lex_objective"))
     assert res.status == "optimal" and res.objective_values == [2, 0]
 

@@ -218,6 +218,11 @@ LABELS = [
 ]
 
 
+# The labels whose rows close their cutoffs too: witness rows over tied
+# scores.
+CUTOFF_CLOSED = {"scorelimits:ties_min", "scorelimits:ties_full",
+                 "combined[ties;enforce]", "combined[ties,lower;enforce]"}
+
 # The combined labels whose ties or lower quotas only the objective closes.
 ENUMERATE_REFUSED = {
     "combined[ties,common;enforce]",
@@ -233,9 +238,10 @@ def test_reports_print_the_builders_label(capsys, tmp_path, fixture, model,
                                           mode, policy, label):
     """solve and enumerate print the variant label, and it is the name of
     the model the command built; lower and common quotas together under
-    the enforce policy are refused before any label is printed, and
-    enumerate refuses, naming the label, the mixes that only their
-    objective closes."""
+    the enforce policy are refused before any label is printed. The
+    builder records the model's closure; enumerate refuses, naming the
+    label, the mixes that only their objective closes, and solve
+    --preprocess refuses those of them that have open flags."""
     if fixture == "I4B+group":
         path = tmp_path / "I4B+group.json"
         path.write_text(serialize_instance(grouped_i4b()), encoding="utf-8")
@@ -249,12 +255,25 @@ def test_reports_print_the_builders_label(capsys, tmp_path, fixture, model,
             assert (code, doc) == (1, None) and "incoherent policy" in err
         return
     inst = parse_instance(path.read_text(encoding="utf-8"))
-    assert _build(inst, model, mode, policy)[0].name == label
+    built = _build(inst, model, mode, policy)[0]
+    assert built.name == label
+    assert built.closure == ("objective" if label in ENUMERATE_REFUSED
+                             else "cutoffs" if label in CUTOFF_CLOSED
+                             else "matching")
     code, doc, _ = run(capsys, "solve", *argv)
     assert code == 0 and doc["variant"] == label
     code, doc, err = run(capsys, "enumerate", *argv)
     if label in ENUMERATE_REFUSED:
         assert (code, doc) == (1, None) and label in err
+    else:
+        assert code == 0 and doc["variant"] == label
+    code, doc, err = run(capsys, "solve", *argv, "--preprocess")
+    if not built.vars_by_role("open"):
+        assert (code, doc) == (1, None) and "needs a model with open flags" in err
+    elif label in ENUMERATE_REFUSED:
+        assert (code, doc) == (1, None) and "enforce policy" in err
+    elif fixture == "I4B+group":  # the fixing rules refuse groups
+        assert code == 1 and "lower-quota groups present" in err
     else:
         assert code == 0 and doc["variant"] == label
 
@@ -356,6 +375,10 @@ USAGE_ERRORS = [
      "paired has no mode"),
     (("solve", "I8", "--model", "lower", "--objective", "min-score-limits"),
      "min-score-limits needs a score-limit model"),
+    (("solve", "I2", "--model", "scorelimits", "--mode", "ties-max"),
+     "scorelimits has no mode 'ties-max'"),
+    (("solve", "I3", "--model", "scorelimits", "--mode", "ties_min"),
+     "scorelimits has no mode 'ties_min'"),
 ]
 
 
@@ -900,6 +923,28 @@ def test_console_script_round_trip(launcher):
     doc = json.loads(proc.stdout)
     assert doc["score_limits"] == {"c1": 6}
     assert fixture_text("I3")  # fixture unchanged by the run
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", str(fixture_path("I2")), "--model", "scorelimits"),
+    ("generate", "--n", "2", "--m", "1", "--seed", "1"),
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_exits_1_quietly(argv):
+    """The reader of stdout is gone before the report is written: exit 1
+    without a traceback, under the default output buffering."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "stableadmit.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def _unstamped(doc):

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stableadmit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stableadmit"
 
 # Imported but unread on purpose, each with its reason.
 ALLOWED = {
@@ -52,3 +53,17 @@ def test_every_allowed_import_is_still_unread():
     for (module, name) in ALLOWED:
         source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
         assert name in unused_imports(source), (module, name)
+
+
+def test_every_allowance_names_an_attribute_the_traced_benchmark_wraps(
+        monkeypatch):
+    """An allowance outlives its reason once bench/layers.py stops
+    wrapping the name."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layers
+    from tracing import Tracer
+
+    wrapped = {(module.__name__, attr)
+               for module, attr, _ in layers.patch_table(Tracer())}
+    for module, name in ALLOWED:
+        assert (f"stableadmit.{module}", name) in wrapped, (module, name)

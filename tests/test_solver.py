@@ -9,9 +9,8 @@ import pytest
 
 from conftest import BUILDS, load, t_projection
 from stableadmit import (GenConfig, LinearModel, ModelError,
-                         assignment_satisfies, build_combined,
-                         build_scorelimits, enumerate_feasible, generate,
-                         rank_objective, solve, solve_lex)
+                         assignment_satisfies, build_scorelimits,
+                         enumerate_feasible, generate, solve)
 from stableadmit.solver import _Engine
 
 
@@ -81,48 +80,6 @@ def test_determinism_of_statistics():
     limits = [v.name for v in model.vars_by_role("limit")]
     listed = [enumerate_feasible(model, limits) for _ in range(2)]
     assert listed[0].row_visits == listed[1].row_visits > 0
-
-
-@pytest.mark.parametrize("name", ["I4", "I4B"])
-def test_solve_and_solve_lex_agree_on_lex_models(name):
-    model = build_combined(load(name), lower=True,
-                           group_stability="drop_with_lex_objective")
-    plain, lex = solve(model), solve_lex(model)
-    assert (plain.status, plain.assignment, plain.objective_values,
-            plain.nodes) == (lex.status, lex.assignment,
-                             lex.objective_values, lex.nodes)
-
-
-def test_solve_lex_matched_then_limits():
-    res = solve_lex(build_combined(load("I4B"), lower=True,
-                                   group_stability="drop_with_lex_objective"))
-    assert res.status == "optimal"
-    assert res.objective_values == [2, 0]
-    res = solve_lex(build_combined(load("I4"), lower=True,
-                                   group_stability="drop_with_lex_objective"))
-    assert res.objective_values == [0, 0]
-
-
-def test_solve_lex_needs_objectives():
-    with pytest.raises(ModelError, match="no objectives"):
-        solve_lex(LinearModel())
-
-
-def test_solve_lex_single_stage_equals_solve():
-    inst = load("I2")
-    model = build_classical_with_rank_objective(inst)
-    lex = solve_lex(model)
-    plain = solve(model)
-    assert lex.status == plain.status == "optimal"
-    assert lex.objective_values == plain.objective_values
-    assert lex.assignment == plain.assignment
-
-
-def build_classical_with_rank_objective(inst):
-    from stableadmit import build_classical
-    model = build_classical(inst)
-    model.add_objective("min", rank_objective(inst, model), name="total_rank")
-    return model
 
 
 def test_enumerate_projection_validation():
